@@ -95,46 +95,49 @@ func TestBatchedEquivalenceAcrossKinds(t *testing.T) {
 	}
 }
 
-// TestBatchedEquivalenceStressShapes covers the run-loop shapes the kind
-// matrix holds fixed: SMT colocation, context switches, correcting walks,
-// huge data pages and prefetch-into-STLB, each against the reference loop.
+// stressShapes are the run-loop shapes the kind matrix holds fixed: SMT
+// colocation, context switches, correcting walks, huge data pages and
+// prefetch-into-STLB.
+var stressShapes = []struct {
+	name    string
+	spec    func() Spec
+	threads int
+}{
+	{"smt-morrigan", func() Spec {
+		s := Default()
+		s.Prefetcher = Morrigan(core.DefaultConfig())
+		return s
+	}, 2},
+	{"context-switches", func() Spec {
+		s := Default()
+		s.Prefetcher = Morrigan(core.DefaultConfig())
+		s.ContextSwitchInterval = 3_000
+		return s
+	}, 1},
+	{"correcting-walks", func() Spec {
+		s := Default()
+		s.Prefetcher = Morrigan(core.DefaultConfig())
+		s.CorrectingWalks = true
+		return s
+	}, 1},
+	{"huge-data-pages", func() Spec {
+		s := Default()
+		s.Prefetcher = SP()
+		s.HugeDataPages = true
+		return s
+	}, 1},
+	{"prefetch-into-stlb", func() Spec {
+		s := Default()
+		s.Prefetcher = Morrigan(core.DefaultConfig())
+		s.PrefetchIntoSTLB = true
+		return s
+	}, 1},
+}
+
+// TestBatchedEquivalenceStressShapes runs each stress shape against the
+// reference loop.
 func TestBatchedEquivalenceStressShapes(t *testing.T) {
-	shapes := []struct {
-		name    string
-		spec    func() Spec
-		threads int
-	}{
-		{"smt-morrigan", func() Spec {
-			s := Default()
-			s.Prefetcher = Morrigan(core.DefaultConfig())
-			return s
-		}, 2},
-		{"context-switches", func() Spec {
-			s := Default()
-			s.Prefetcher = Morrigan(core.DefaultConfig())
-			s.ContextSwitchInterval = 3_000
-			return s
-		}, 1},
-		{"correcting-walks", func() Spec {
-			s := Default()
-			s.Prefetcher = Morrigan(core.DefaultConfig())
-			s.CorrectingWalks = true
-			return s
-		}, 1},
-		{"huge-data-pages", func() Spec {
-			s := Default()
-			s.Prefetcher = SP()
-			s.HugeDataPages = true
-			return s
-		}, 1},
-		{"prefetch-into-stlb", func() Spec {
-			s := Default()
-			s.Prefetcher = Morrigan(core.DefaultConfig())
-			s.PrefetchIntoSTLB = true
-			return s
-		}, 1},
-	}
-	for _, sh := range shapes {
+	for _, sh := range stressShapes {
 		t.Run(sh.name, func(t *testing.T) {
 			run := func(ref bool) sim.Stats {
 				cfg, err := sh.spec().Build()
