@@ -11,22 +11,23 @@
 // walks perturb cache contents — is captured.
 package cache
 
+import "fmt"
+
 // Cache is one set-associative cache with LRU replacement, addressed by
 // physical line number.
 //
-// Storage is struct-of-arrays: a set's keys pack into one or two cache
-// lines, so the tag scan on the hot fetch/data path touches the used
-// timestamps only on a hit or an eviction decision. A key is the line
-// address plus one, with zero marking an invalid way — line addresses are
-// physical-address bits above LineShift, so the +1 cannot wrap.
+// Storage is one flat key array, row-major by set, each set kept in recency
+// order: the most recently used line first, valid ways forming a prefix. A
+// key is the line address plus one, with zero marking an invalid way — line
+// addresses are physical-address bits above LineShift, so the +1 cannot
+// wrap. A hit or a fill moves its line to the front, so the LRU victim of a
+// full set is its last way; no timestamps are kept.
 type Cache struct {
 	name     string
 	sets     int
 	ways     int
 	mask     uint64   // sets-1; sets is always a power of two
-	keys     []uint64 // sets*ways, row-major by set; lineAddr+1, 0 = invalid
-	used     []uint64 // LRU timestamps, parallel to keys
-	tick     uint64
+	keys     []uint64 // sets*ways; lineAddr+1, 0 = invalid
 	accesses uint64
 	misses   uint64
 }
@@ -34,8 +35,8 @@ type Cache struct {
 // NewCache constructs a cache of the given geometry. Sets must be a power of
 // two.
 func NewCache(name string, sets, ways int) *Cache {
-	if sets <= 0 || ways <= 0 || sets&(sets-1) != 0 {
-		panic("cache: geometry must be positive with power-of-two sets")
+	if err := checkGeometry(sets, ways); err != nil {
+		panic("cache: " + err.Error())
 	}
 	return &Cache{
 		name: name,
@@ -43,80 +44,83 @@ func NewCache(name string, sets, ways int) *Cache {
 		ways: ways,
 		mask: uint64(sets - 1),
 		keys: make([]uint64, sets*ways),
-		used: make([]uint64, sets*ways),
 	}
+}
+
+// checkGeometry reports whether a cache of the given geometry can be built:
+// a positive way count and a positive power-of-two set count.
+func checkGeometry(sets, ways int) error {
+	if sets <= 0 || ways <= 0 || sets&(sets-1) != 0 {
+		return fmt.Errorf("geometry must be positive with power-of-two sets: %d sets, %d ways", sets, ways)
+	}
+	return nil
 }
 
 // Entries returns the cache's capacity in lines.
 func (c *Cache) Entries() int { return c.sets * c.ways }
 
-// base returns the index of the first way of the line's set.
-func (c *Cache) base(lineAddr uint64) uint64 {
-	return (lineAddr & c.mask) * uint64(c.ways)
+// probe scans the line's set once without changing it. On a hit, way is the
+// line's position; on a miss it is the slot a fill takes, the last way: the
+// LRU victim of a full set, and invalid in a set that is not full, where
+// shifting the invalid ways back along with the valid ones keeps the valid
+// ways a prefix.
+func (c *Cache) probe(lineAddr uint64) (set []uint64, way int, hit bool) {
+	base := (lineAddr & c.mask) * uint64(c.ways)
+	set = c.keys[base : base+uint64(c.ways) : base+uint64(c.ways)]
+	k := lineAddr + 1
+	for i, key := range set {
+		if key == k {
+			return set, i, true
+		}
+	}
+	return set, len(set) - 1, false
+}
+
+// lookup is Lookup returning the probed slot, so a caller that fills the
+// line after a miss does not scan the set again.
+func (c *Cache) lookup(lineAddr uint64) (set []uint64, way int, hit bool) {
+	c.accesses++
+	set, way, hit = c.probe(lineAddr)
+	if hit {
+		toFront(set, way, lineAddr)
+	} else {
+		c.misses++
+	}
+	return set, way, hit
+}
+
+// toFront makes lineAddr the most recently used line of set by writing it
+// into slot way after shifting the ways ahead of that slot back one place.
+// It returns the key the slot held: the line itself on a hit, zero for an
+// invalid way, otherwise the evicted line's key.
+func toFront(set []uint64, way int, lineAddr uint64) (old uint64) {
+	old = set[way]
+	copy(set[1:way+1], set[:way])
+	set[0] = lineAddr + 1
+	return old
 }
 
 // Lookup probes for the line, promoting it on hit, and reports the result.
 func (c *Cache) Lookup(lineAddr uint64) bool {
-	c.tick++
-	c.accesses++
-	base := c.base(lineAddr)
-	keys := c.keys[base : base+uint64(c.ways)]
-	k := lineAddr + 1
-	for i := range keys {
-		if keys[i] == k {
-			c.used[base+uint64(i)] = c.tick
-			return true
-		}
-	}
-	c.misses++
-	return false
+	_, _, hit := c.lookup(lineAddr)
+	return hit
 }
 
 // Contains probes without updating replacement or statistics.
 func (c *Cache) Contains(lineAddr uint64) bool {
-	base := c.base(lineAddr)
-	keys := c.keys[base : base+uint64(c.ways)]
-	k := lineAddr + 1
-	for i := range keys {
-		if keys[i] == k {
-			return true
-		}
-	}
-	return false
+	_, _, hit := c.probe(lineAddr)
+	return hit
 }
 
 // Insert fills the line, evicting the LRU victim if the set is full. It
-// returns the evicted line address and whether an eviction happened.
-//
-// The single pass mirrors Lookup's scan order: a matching way refreshes in
-// place, the first invalid way fills immediately (valid ways always form a
-// prefix of the set, so no later way can match), and otherwise the
-// lowest-timestamp way — earliest index on ties — is the victim.
+// returns the evicted line address and whether an eviction happened. A line
+// already present is only promoted.
 func (c *Cache) Insert(lineAddr uint64) (evicted uint64, wasEviction bool) {
-	c.tick++
-	base := c.base(lineAddr)
-	keys := c.keys[base : base+uint64(c.ways)]
-	used := c.used[base : base+uint64(c.ways) : base+uint64(c.ways)]
-	k := lineAddr + 1
-	victim := 0
-	for i := range keys {
-		if keys[i] == k {
-			used[i] = c.tick // already present; refresh
-			return 0, false
-		}
-		if keys[i] == 0 {
-			keys[i] = k
-			used[i] = c.tick
-			return 0, false
-		}
-		if used[i] < used[victim] {
-			victim = i
-		}
+	set, way, hit := c.probe(lineAddr)
+	if old := toFront(set, way, lineAddr); !hit && old != 0 {
+		return old - 1, true
 	}
-	old := keys[victim] - 1
-	keys[victim] = k
-	used[victim] = c.tick
-	return old, true
+	return 0, false
 }
 
 // Accesses returns the number of Lookup calls since the last ResetStats.

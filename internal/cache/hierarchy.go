@@ -1,6 +1,10 @@
 package cache
 
-import "morrigan/internal/arch"
+import (
+	"fmt"
+
+	"morrigan/internal/arch"
+)
 
 // Kind distinguishes the request streams through the hierarchy, for
 // statistics and routing.
@@ -81,6 +85,26 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate checks every level's geometry, so a configuration arriving from
+// outside the program is rejected with an error before NewHierarchy would
+// panic on it.
+func (c Config) Validate() error {
+	for _, l := range []struct {
+		name       string
+		sets, ways int
+	}{
+		{"L1I", c.L1ISets, c.L1IWays},
+		{"L1D", c.L1DSets, c.L1DWays},
+		{"L2", c.L2Sets, c.L2Ways},
+		{"LLC", c.LLCSets, c.LLCWays},
+	} {
+		if err := checkGeometry(l.sets, l.ways); err != nil {
+			return fmt.Errorf("cache: %s %w", l.name, err)
+		}
+	}
+	return nil
+}
+
 // Hierarchy is the full cache hierarchy plus DRAM.
 type Hierarchy struct {
 	L1I, L1D, L2, LLC *Cache
@@ -118,34 +142,29 @@ func (h *Hierarchy) l1For(kind Kind) *Cache {
 
 // Access performs one demand access at the physical address, updating cache
 // state and statistics, and returns where and how fast it was served.
+//
+// Each level's set is scanned once: the lookup that misses a level also
+// finds the slot the fill on the way back up takes. The levels are distinct
+// caches, so filling them after the lower levels were probed leaves the
+// same contents as looking up downward and then inserting upward.
 func (h *Hierarchy) Access(kind Kind, addr arch.PAddr) Result {
 	lineAddr := addr.Line()
 	l1 := h.l1For(kind)
-
-	res := Result{Latency: h.cfg.L1Latency, Level: arch.LevelL1}
-	switch {
-	case l1.Lookup(lineAddr):
-		// Served by L1.
-	case h.L2.Lookup(lineAddr):
-		res = Result{Latency: h.cfg.L1Latency + h.cfg.L2Latency, Level: arch.LevelL2}
-		l1.Insert(lineAddr)
-	case h.LLC.Lookup(lineAddr):
-		res = Result{
-			Latency: h.cfg.L1Latency + h.cfg.L2Latency + h.cfg.LLCLatency,
-			Level:   arch.LevelLLC,
+	level := arch.LevelL1
+	if s1, w1, hit := l1.lookup(lineAddr); !hit {
+		level = arch.LevelL2
+		if s2, w2, hit := h.L2.lookup(lineAddr); !hit {
+			level = arch.LevelLLC
+			if s3, w3, hit := h.LLC.lookup(lineAddr); !hit {
+				level = arch.LevelDRAM
+				toFront(s3, w3, lineAddr)
+			}
+			toFront(s2, w2, lineAddr)
 		}
-		h.L2.Insert(lineAddr)
-		l1.Insert(lineAddr)
-	default:
-		res = Result{
-			Latency: h.cfg.L1Latency + h.cfg.L2Latency + h.cfg.LLCLatency + h.cfg.DRAMLatency,
-			Level:   arch.LevelDRAM,
-		}
-		h.LLC.Insert(lineAddr)
-		h.L2.Insert(lineAddr)
-		l1.Insert(lineAddr)
+		toFront(s1, w1, lineAddr)
 	}
-	h.served[kind][res.Level]++
+	h.served[kind][level]++
+	res := Result{Latency: h.FillLatency(level), Level: level}
 
 	if h.l2pf != nil && (kind == KindLoad || kind == KindStore) {
 		if next, ok := h.l2pf.observe(addr); ok {
@@ -158,29 +177,28 @@ func (h *Hierarchy) Access(kind Kind, addr arch.PAddr) Result {
 // PrefetchInto fills a line into the given level (and below it, down to the
 // LLC) without charging demand latency; used by cache prefetchers. It
 // returns the level that supplied the data, from which callers can derive
-// the fill's completion time.
+// the fill's completion time. Like Access, it scans each level's set once.
 func (h *Hierarchy) PrefetchInto(level arch.Level, addr arch.PAddr) arch.Level {
 	lineAddr := addr.Line()
+	s2, w2, inL2 := h.L2.probe(lineAddr)
+	if inL2 && level >= arch.LevelL2 {
+		return arch.LevelL2
+	}
+	s3, w3, inLLC := h.LLC.probe(lineAddr)
 	served := arch.LevelDRAM
-	if h.L2.Contains(lineAddr) {
+	if inL2 {
 		served = arch.LevelL2
-	} else if h.LLC.Contains(lineAddr) {
+	} else if inLLC {
 		served = arch.LevelLLC
 	}
-	if served == arch.LevelL2 && level >= arch.LevelL2 {
-		return served
-	}
 	h.served[KindPrefetch][served]++
-	switch level {
-	case arch.LevelL1:
+	if level == arch.LevelL1 {
 		h.L1I.Insert(lineAddr)
-		fallthrough
-	case arch.LevelL2:
-		h.L2.Insert(lineAddr)
-		fallthrough
-	default:
-		h.LLC.Insert(lineAddr)
 	}
+	if level <= arch.LevelL2 {
+		toFront(s2, w2, lineAddr)
+	}
+	toFront(s3, w3, lineAddr)
 	return served
 }
 

@@ -331,15 +331,25 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsInvalidSpec: Load validates by building once.
+// TestLoadRejectsInvalidSpec: Load validates by building once, cache
+// geometry included.
 func TestLoadRejectsInvalidSpec(t *testing.T) {
-	var buf bytes.Buffer
-	bad := Default()
-	bad.Prefetcher = PrefetcherSpec{Kind: "warp-drive"}
-	if err := Save(&buf, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "warp-drive") {
-		t.Errorf("Load accepted an unbuildable spec: %v", err)
+	for _, tc := range []struct {
+		mutate  func(*Spec)
+		wantErr string
+	}{
+		{func(s *Spec) { s.Prefetcher = PrefetcherSpec{Kind: "warp-drive"} }, "warp-drive"},
+		{func(s *Spec) { s.Cache.L2Sets = 1000 }, "L2 geometry"},
+		{func(s *Spec) { s.Cache.LLCWays = 0 }, "LLC geometry"},
+	} {
+		var buf bytes.Buffer
+		bad := Default()
+		tc.mutate(&bad)
+		if err := Save(&buf, bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("Load accepted an unbuildable spec: err = %v, want containing %q", err, tc.wantErr)
+		}
 	}
 }

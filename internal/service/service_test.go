@@ -368,6 +368,8 @@ func TestSubmissionValidation(t *testing.T) {
 		{"oversized mix", func(sub *Submission) {
 			sub.Workloads = []string{strings.Repeat("qmm-srv-01+", 17) + "qmm-srv-02"}
 		}},
+		{"l2 sets not a power of two", func(sub *Submission) { sub.Machines[1].Spec.Cache.L2Sets = 1000 }},
+		{"llc without ways", func(sub *Submission) { sub.Machines[0].Spec.Cache.LLCWays = 0 }},
 	}
 	for _, tc := range cases {
 		sub := testSubmission("")
@@ -377,6 +379,9 @@ func TestSubmissionValidation(t *testing.T) {
 		if !asAdmission(err, &adm) || adm.Code != 400 {
 			t.Errorf("%s: err = %v, want 400 AdmissionError", tc.name, err)
 		}
+	}
+	if u, ok := s.TenantUsage("tok-alice"); !ok || u.Campaigns != 0 || u.QueuedJobs != 0 || u.QueuedReservations != 0 {
+		t.Errorf("rejected submissions were admitted or charged: %+v", u)
 	}
 }
 

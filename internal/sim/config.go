@@ -196,6 +196,9 @@ func (c *Config) Validate() error {
 	if err := check("STLB", c.STLBEntries, c.STLBWays); err != nil {
 		return err
 	}
+	if err := c.Cache.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	if c.PBEntries <= 0 {
 		return fmt.Errorf("sim: PBEntries = %d", c.PBEntries)
 	}

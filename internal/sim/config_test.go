@@ -25,6 +25,9 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"dtlb entries not multiple of ways", func(c *Config) { c.DTLBEntries = 63 }, "DTLB geometry invalid"},
 		{"stlb negative ways", func(c *Config) { c.STLBWays = -6 }, "STLB geometry invalid"},
 		{"stlb entries not multiple of ways", func(c *Config) { c.STLBEntries = 7 }, "STLB geometry invalid"},
+		{"l2 sets not a power of two", func(c *Config) { c.Cache.L2Sets = 1000 }, "L2 geometry must be positive with power-of-two sets"},
+		{"llc zero ways", func(c *Config) { c.Cache.LLCWays = 0 }, "LLC geometry must be positive"},
+		{"l1i zero sets", func(c *Config) { c.Cache.L1ISets = 0 }, "L1I geometry"},
 		{"pb empty", func(c *Config) { c.PBEntries = 0 }, "PBEntries"},
 		{"smt block zero", func(c *Config) { c.SMTBlock = 0 }, "SMTBlock"},
 		{"perfect istlb with prefetcher", func(c *Config) {
@@ -44,6 +47,21 @@ func TestConfigValidateErrors(t *testing.T) {
 		err := c.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: Validate() = %v, want containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestNewRejectsInvalidCacheGeometry: a cache geometry the hierarchy cannot
+// build is an error from New, not a panic inside cache.NewCache.
+func TestNewRejectsInvalidCacheGeometry(t *testing.T) {
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.Cache.L2Sets = 1000 },
+		func(c *Config) { c.Cache.LLCWays = 0 },
+	} {
+		c := DefaultConfig()
+		mutate(&c)
+		if _, err := New(c, []ThreadSpec{{Reader: testWorkload()}}); err == nil || !strings.Contains(err.Error(), "geometry") {
+			t.Errorf("New accepted cache %+v: err = %v", c.Cache, err)
 		}
 	}
 }

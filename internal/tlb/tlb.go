@@ -7,11 +7,13 @@
 // translations, mirroring ASID tagging in real parts.
 //
 // Storage is struct-of-arrays: each entry is a packed key word (VPN, thread
-// id, valid bit) in a flat keys array with parallel pfn/used arrays, so the
-// set scans in the simulator's hottest loop stream one dense uint64 array.
-// When the set count is a power of two the set index is a mask instead of a
-// modulo; both forms compute the identical index, keeping Figure 18's
-// non-power-of-two iso-storage STLB bit-identical.
+// id, valid bit) in a flat keys array with a parallel pfns array, so the set
+// scans in the simulator's hottest loop stream one dense uint64 array. Each
+// set is kept in recency order, most recently used first with valid ways
+// forming a prefix, so the LRU victim of a full set is its last way and no
+// timestamps are kept. When the set count is a power of two the set index is
+// a mask instead of a modulo; both forms compute the identical index,
+// keeping Figure 18's non-power-of-two iso-storage STLB bit-identical.
 package tlb
 
 import (
@@ -33,10 +35,8 @@ type TLB struct {
 	mask    uint64 // sets-1 when sets is a power of two, else 0
 	latency arch.Cycle
 
-	keys []uint64
+	keys []uint64 // each set most recently used first; 0 = invalid
 	pfns []arch.PFN
-	used []uint64
-	tick uint64
 
 	accesses uint64
 	misses   uint64
@@ -57,7 +57,6 @@ func New(name string, entries, ways int, latency arch.Cycle) *TLB {
 		latency: latency,
 		keys:    make([]uint64, entries),
 		pfns:    make([]arch.PFN, entries),
-		used:    make([]uint64, entries),
 	}
 	if sets&(sets-1) == 0 {
 		t.mask = uint64(sets - 1)
@@ -82,71 +81,70 @@ func (t *TLB) base(vpn arch.VPN) int {
 	return int(uint64(vpn)%uint64(t.sets)) * t.ways
 }
 
-// Lookup probes for the translation, promoting it on hit.
-func (t *TLB) Lookup(tid arch.ThreadID, vpn arch.VPN) (arch.PFN, bool) {
-	t.tick++
-	t.accesses++
-	k := key(tid, vpn)
-	base := t.base(vpn)
-	for i := base; i < base+t.ways; i++ {
-		if t.keys[i] == k {
-			t.used[i] = t.tick
-			return t.pfns[i], true
+// find returns the way of the set at base holding key k, or -1.
+func (t *TLB) find(base int, k uint64) int {
+	for i, e := range t.keys[base : base+t.ways] {
+		if e == k {
+			return i
 		}
 	}
-	t.misses++
-	return 0, false
+	return -1
+}
+
+// toFront shifts the ways ahead of slot way back one place, dropping what
+// the slot held, and writes k -> pfn as the set's most recently used entry.
+func (t *TLB) toFront(base, way int, k uint64, pfn arch.PFN) {
+	keys := t.keys[base : base+way+1]
+	pfns := t.pfns[base : base+len(keys)]
+	for i := way; i > 0; i-- {
+		keys[i], pfns[i] = keys[i-1], pfns[i-1]
+	}
+	keys[0], pfns[0] = k, pfn
+}
+
+// Lookup probes for the translation, promoting it on hit.
+func (t *TLB) Lookup(tid arch.ThreadID, vpn arch.VPN) (arch.PFN, bool) {
+	t.accesses++
+	k, base := key(tid, vpn), t.base(vpn)
+	way := t.find(base, k)
+	if way < 0 {
+		t.misses++
+		return 0, false
+	}
+	pfn := t.pfns[base+way]
+	t.toFront(base, way, k, pfn)
+	return pfn, true
 }
 
 // Peek returns the translation without updating replacement or statistics;
 // background prefetch paths use it so they never contend with demand
 // lookups.
 func (t *TLB) Peek(tid arch.ThreadID, vpn arch.VPN) (arch.PFN, bool) {
-	k := key(tid, vpn)
 	base := t.base(vpn)
-	for i := base; i < base+t.ways; i++ {
-		if t.keys[i] == k {
-			return t.pfns[i], true
-		}
+	way := t.find(base, key(tid, vpn))
+	if way < 0 {
+		return 0, false
 	}
-	return 0, false
+	return t.pfns[base+way], true
 }
 
 // Contains probes without updating replacement or statistics.
 func (t *TLB) Contains(tid arch.ThreadID, vpn arch.VPN) bool {
-	k := key(tid, vpn)
-	base := t.base(vpn)
-	for i := base; i < base+t.ways; i++ {
-		if t.keys[i] == k {
-			return true
-		}
-	}
-	return false
+	return t.find(t.base(vpn), key(tid, vpn)) >= 0
 }
 
-// Insert fills the translation, evicting the set's LRU entry if needed.
+// Insert fills the translation, evicting the set's LRU entry if needed. A
+// translation already present takes the new PFN and is promoted.
 func (t *TLB) Insert(tid arch.ThreadID, vpn arch.VPN, pfn arch.PFN) {
-	t.tick++
-	k := key(tid, vpn)
-	base := t.base(vpn)
-	victim := base
-	for i := base; i < base+t.ways; i++ {
-		if t.keys[i] == k {
-			t.pfns[i] = pfn
-			t.used[i] = t.tick
-			return
-		}
-		if t.keys[i] == 0 {
-			victim = i
-			break
-		}
-		if t.used[i] < t.used[victim] {
-			victim = i
-		}
+	k, base := key(tid, vpn), t.base(vpn)
+	way := t.find(base, k)
+	if way < 0 {
+		// The last way holds the LRU victim of a full set, and is invalid
+		// in a set that is not full, where shifting the invalid ways back
+		// along with the valid ones keeps the valid ways a prefix.
+		way = t.ways - 1
 	}
-	t.keys[victim] = k
-	t.pfns[victim] = pfn
-	t.used[victim] = t.tick
+	t.toFront(base, way, k, pfn)
 }
 
 // Flush invalidates every entry (context switch).
