@@ -139,14 +139,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	// Subscribe before the headers go out: a client that has seen them may
+	// act at once (start a campaign, say), and must not miss its events.
+	sub, cancel := s.hub.subscribe()
+	defer cancel()
+
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-
-	sub, cancel := s.hub.subscribe()
-	defer cancel()
 
 	id := 0
 	for {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"morrigan/internal/runner"
 	"morrigan/internal/telemetry"
@@ -71,7 +72,9 @@ func TestSSESampleOrder(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
+	// The deadline turns a lost event into a failure in seconds rather than
+	// a hang until the go test timeout.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	msgs := make(chan sseMsg, 1024)
 	ready := make(chan struct{})
@@ -98,6 +101,7 @@ func TestSSESampleOrder(t *testing.T) {
 	}()
 
 	var samples []telemetry.IntervalSample
+	finished := false
 	for m := range msgs {
 		switch m.Event {
 		case "sample":
@@ -121,11 +125,16 @@ func TestSSESampleOrder(t *testing.T) {
 				t.Fatalf("job payload: %v", err)
 			}
 			if je.State == "finished" {
+				finished = true
 				cancel() // stream ends; drain remaining buffered messages
 			}
 		}
 	}
 	wg.Wait()
+
+	if !finished {
+		t.Fatalf("stream ended without the job's finished event after %d samples: %v", len(samples), ctx.Err())
+	}
 
 	if len(samples) != n {
 		t.Fatalf("received %d samples, want %d (buffer %d should not drop at this rate)", len(samples), n, subscriberBuffer)

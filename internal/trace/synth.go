@@ -2,7 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
 	"sort"
 
 	"morrigan/internal/arch"
@@ -122,6 +122,15 @@ func (p *ServerParams) Validate() error {
 	return nil
 }
 
+// zipfS returns the data-page Zipf exponent the generator uses: DataZipfS,
+// or 1.2 when that is at most 1 (rand.Zipf needs an exponent above 1).
+func (p *ServerParams) zipfS() float64 {
+	if p.DataZipfS <= 1 {
+		return 1.2
+	}
+	return p.DataZipfS
+}
+
 // edge is a successor of a routine in the call graph.
 type edge struct {
 	target int     // routine index
@@ -129,18 +138,24 @@ type edge struct {
 }
 
 // Generator is an infinite synthetic instruction stream; it implements
-// Reader and never returns io.EOF.
+// BatchReader and never returns io.EOF.
+//
+// Every random choice is drawn from one math/rand stream seeded with
+// Params().Seed, through rngSource and zipfSampler, which reproduce
+// rand.Rand and rand.Zipf value for value; the records are therefore a fixed
+// function of the parameters (testdata/stream_golden.json pins them).
 type Generator struct {
 	p   ServerParams
-	rng *rand.Rand
-	dz  *rand.Zipf // samples popularity ranks for data pages
+	rng rngSource
+	dz  zipfSampler // samples popularity ranks for data pages
 
 	nHot, nWarm int // tier sizes, in routines
 
-	routines [][]int // routine -> ordered page list
-	redges   [][]edge
-	perm     []int      // popularity rank -> routine index
-	entry    [][]uint64 // per page: entry offsets (bytes)
+	pages  []int // every routine's ordered page list, routine after routine
+	rstart []int // routine r's pages are pages[rstart[r]:rstart[r+1]]
+	redges [][]edge
+	perm   []int    // popularity rank -> routine index
+	entry  []uint64 // page p's entry offsets (bytes) are entry[p*EntryPoints:][:EntryPoints]
 
 	curR    int // current routine
 	curIdx  int // position within the routine's page list
@@ -154,7 +169,7 @@ type Generator struct {
 	nextPhase uint64
 }
 
-var _ Reader = (*Generator)(nil)
+var _ BatchReader = (*Generator)(nil)
 
 // NewServerGenerator builds a generator for the given parameters. It panics
 // if the parameters are invalid; use Validate to check first.
@@ -162,45 +177,35 @@ func NewServerGenerator(p ServerParams) *Generator {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	g := &Generator{
-		p:   p,
-		rng: rand.New(rand.NewSource(p.Seed)),
-	}
-	dzS := p.DataZipfS
-	if dzS <= 1 {
-		dzS = 1.2
-	}
-	g.dz = rand.NewZipf(g.rng, dzS, 1, uint64(p.DataPages-1))
+	g := &Generator{p: p}
+	g.rng.Seed(p.Seed)
+	g.dz.init(&g.rng, p.zipfS(), uint64(p.DataPages-1))
 	g.buildRoutines()
-	g.nHot = int(float64(len(g.routines)) * p.HotFrac)
-	g.nWarm = int(float64(len(g.routines)) * p.WarmFrac)
+	nr := g.numRoutines()
+	g.nHot = int(float64(nr) * p.HotFrac)
+	g.nWarm = int(float64(nr) * p.WarmFrac)
 	if g.nHot < 1 {
 		g.nHot = 1
 	}
 	if g.nWarm < 1 {
 		g.nWarm = 1
 	}
-	if g.nHot+g.nWarm >= len(g.routines) {
-		g.nWarm = len(g.routines) - g.nHot - 1
+	if g.nHot+g.nWarm >= nr {
+		g.nWarm = nr - g.nHot - 1
 		if g.nWarm < 1 {
 			g.nHot, g.nWarm = 1, 1
 		}
 	}
-	g.perm = g.rng.Perm(len(g.routines))
-	g.redges = make([][]edge, len(g.routines))
+	g.perm = g.rng.Perm(nr)
+	g.redges = make([][]edge, nr)
 	for r := range g.redges {
 		g.redges[r] = g.buildEdges(r)
 	}
-	g.entry = make([][]uint64, p.CodePages)
-	for i := range g.entry {
-		offs := make([]uint64, p.EntryPoints)
-		limit := arch.PageSize - uint64(p.RunLenMax*4)
-		for j := range offs {
-			if limit > 0 {
-				offs[j] = uint64(g.rng.Int63n(int64(limit)+1)) &^ 3
-			}
+	g.entry = make([]uint64, p.CodePages*p.EntryPoints)
+	if limit := arch.PageSize - uint64(p.RunLenMax*4); limit > 0 {
+		for i := range g.entry {
+			g.entry[i] = uint64(g.rng.Int63n(int64(limit)+1)) &^ 3
 		}
-		g.entry[i] = offs
 	}
 	g.enterRoutine(g.perm[0])
 	if p.PhaseLen > 0 {
@@ -227,6 +232,8 @@ func (g *Generator) buildRoutines() {
 		pg := unassigned[pos]
 		return pg
 	}
+	g.pages = make([]int, 0, g.p.CodePages)
+	g.rstart = []int{0}
 	for {
 		first := nextFree()
 		if first < 0 {
@@ -237,9 +244,9 @@ func (g *Generator) buildRoutines() {
 		if g.p.RoutineLenMax > g.p.RoutineLenMin {
 			want += g.rng.Intn(g.p.RoutineLenMax - g.p.RoutineLenMin + 1)
 		}
-		pages := []int{first}
+		g.pages = append(g.pages, first)
 		prev := first
-		for len(pages) < want {
+		for n := 1; n < want; n++ {
 			var cand int
 			x := g.rng.Float64()
 			switch {
@@ -261,12 +268,18 @@ func (g *Generator) buildRoutines() {
 				}
 			}
 			taken[cand] = true
-			pages = append(pages, cand)
+			g.pages = append(g.pages, cand)
 			prev = cand
 		}
-		g.routines = append(g.routines, pages)
+		g.rstart = append(g.rstart, len(g.pages))
 	}
 }
+
+// numRoutines returns the number of routines.
+func (g *Generator) numRoutines() int { return len(g.rstart) - 1 }
+
+// routine returns routine r's ordered page list.
+func (g *Generator) routine(r int) []int { return g.pages[g.rstart[r]:g.rstart[r+1]] }
 
 // routineBySample draws a routine index by tier: hot routines with
 // probability PHot (STLB-resident working set), the warm band with
@@ -282,7 +295,7 @@ func (g *Generator) routineBySample() int {
 	case u < g.p.PHot+g.p.PWarm:
 		lo, n = g.nHot, g.nWarm
 	default:
-		lo, n = g.nHot+g.nWarm, len(g.routines)-g.nHot-g.nWarm
+		lo, n = g.nHot+g.nWarm, g.numRoutines()-g.nHot-g.nWarm
 	}
 	if n <= 0 {
 		return g.perm[0]
@@ -346,35 +359,34 @@ func (g *Generator) buildEdges(r int) []edge {
 	default:
 		k = 9 + g.rng.Intn(8) // 9-16
 	}
-	if k >= len(g.routines) {
-		k = len(g.routines) - 1
+	nr := g.numRoutines()
+	if k >= nr {
+		k = nr - 1
 	}
 	if k < 1 {
 		k = 1
 	}
-	seen := map[int]bool{r: true}
-	targets := make([]int, 0, k)
+	// k <= 16, so a scan finds a repeated target as fast as a set would.
+	seen := func(t int, ts []int) bool { return t == r || slices.Contains(ts, t) }
+	targets := make([]int, 0, 16)
 	for len(targets) < k {
 		t := g.routineBySample()
-		if seen[t] {
-			t = g.rng.Intn(len(g.routines))
-			if seen[t] {
+		if seen(t, targets) {
+			t = g.rng.Intn(nr)
+			if seen(t, targets) {
 				continue
 			}
 		}
-		seen[t] = true
 		targets = append(targets, t)
 	}
-	weights := make([]float64, len(targets))
 	var sum float64
-	for j := range weights {
-		weights[j] = succProbWeight(j)
-		sum += weights[j]
+	for j := range targets {
+		sum += succProbWeight(j)
 	}
 	edges := make([]edge, len(targets))
 	cum := 0.0
 	for j, t := range targets {
-		cum += weights[j] / sum
+		cum += succProbWeight(j) / sum
 		edges[j] = edge{target: t, cum: cum}
 	}
 	edges[len(edges)-1].cum = 1 // guard against rounding
@@ -385,14 +397,13 @@ func (g *Generator) buildEdges(r int) []edge {
 func (g *Generator) enterRoutine(r int) {
 	g.curR = r
 	g.curIdx = 0
-	g.curPage = g.routines[r][0]
+	g.curPage = g.pages[g.rstart[r]]
 	g.startRun()
 }
 
 // startRun begins a new sequential run inside the current page.
 func (g *Generator) startRun() {
-	offs := g.entry[g.curPage]
-	g.curOff = offs[g.rng.Intn(len(offs))]
+	g.curOff = g.entry[g.curPage*g.p.EntryPoints+g.rng.Intn(g.p.EntryPoints)]
 	g.runLeft = g.p.RunLenMin
 	if g.p.RunLenMax > g.p.RunLenMin {
 		g.runLeft += g.rng.Intn(g.p.RunLenMax - g.p.RunLenMin + 1)
@@ -403,7 +414,7 @@ func (g *Generator) startRun() {
 // routine (possibly skipping one on a branch), or — at routine end — the
 // first page of a successor routine.
 func (g *Generator) transition() {
-	pages := g.routines[g.curR]
+	pages := g.routine(g.curR)
 	next := g.curIdx + 1
 	if g.p.BranchSkipFrac > 0 && next+1 < len(pages) && g.rng.Float64() < g.p.BranchSkipFrac {
 		next++
@@ -417,7 +428,7 @@ func (g *Generator) transition() {
 	// Routine end: call a successor routine.
 	var target int
 	if g.rng.Float64() < g.p.RandomCallFrac {
-		target = g.rng.Intn(len(g.routines))
+		target = g.rng.Intn(g.numRoutines())
 	} else {
 		es := g.redges[g.curR]
 		x := g.rng.Float64()
@@ -436,12 +447,13 @@ func (g *Generator) transition() {
 // rebuilds the successor edges of the affected routines, modelling
 // application phases.
 func (g *Generator) phaseChange() {
-	n := int(float64(len(g.routines)) * g.p.PhaseShuffleFrac)
+	nr := g.numRoutines()
+	n := int(float64(nr) * g.p.PhaseShuffleFrac)
 	if n < 2 {
 		n = 2
 	}
-	if n > len(g.routines) {
-		n = len(g.routines)
+	if n > nr {
+		n = nr
 	}
 	// Most phase shuffles rotate popularity within the hot+warm region
 	// (the same request mix shifting emphasis); a quarter promote a cold
@@ -455,7 +467,7 @@ func (g *Generator) phaseChange() {
 		pos := g.rng.Intn(active)
 		var other int
 		if g.rng.Intn(8) == 0 {
-			other = g.rng.Intn(len(g.routines))
+			other = g.rng.Intn(nr)
 		} else {
 			other = g.rng.Intn(active)
 		}
@@ -488,13 +500,28 @@ func (g *Generator) dataAddr() arch.VAddr {
 		}
 		return (DataBaseVPN + arch.VPN(g.dataPtr)).Addr() + arch.VAddr(g.streamOff)
 	}
-	page := int(g.dz.Uint64())
+	page := int(g.dz.sample(&g.rng))
 	off := uint64(g.rng.Int63n(arch.PageSize/arch.LineSize)) << arch.LineShift
 	return (DataBaseVPN + arch.VPN(page)).Addr() + arch.VAddr(off)
 }
 
 // Next implements Reader; it never returns an error.
 func (g *Generator) Next(rec *Record) error {
+	g.next(rec)
+	return nil
+}
+
+// NextBatch implements BatchReader; it fills all of dst and never returns
+// an error.
+func (g *Generator) NextBatch(dst []Record) (int, error) {
+	for i := range dst {
+		g.next(&dst[i])
+	}
+	return len(dst), nil
+}
+
+// next produces the next record.
+func (g *Generator) next(rec *Record) {
 	if g.nextPhase != 0 && g.emitted >= g.nextPhase {
 		g.phaseChange()
 		g.nextPhase += g.p.PhaseLen
@@ -518,7 +545,6 @@ func (g *Generator) Next(rec *Record) error {
 	if g.runLeft <= 0 || g.curOff+4 > arch.PageSize {
 		g.transition()
 	}
-	return nil
 }
 
 // Emitted returns the number of records produced so far.
@@ -528,4 +554,4 @@ func (g *Generator) Emitted() uint64 { return g.emitted }
 func (g *Generator) Params() ServerParams { return g.p }
 
 // Routines returns the number of routines in the synthetic binary.
-func (g *Generator) Routines() int { return len(g.routines) }
+func (g *Generator) Routines() int { return g.numRoutines() }

@@ -91,26 +91,20 @@ func Build(w io.Writer, src trace.Reader, records uint64, opt BuildOptions) (Bui
 		defer close(jobs)
 		seq := 0
 		var emitted uint64
-		var rec trace.Record
 		for emitted < records {
 			n := uint64(chunkRecords)
 			if left := records - emitted; left < n {
 				n = left
 			}
-			recs := make([]trace.Record, 0, n)
-			for uint64(len(recs)) < n {
-				err := src.Next(&rec)
-				if err == io.EOF {
-					break
+			recs := make([]trace.Record, n)
+			got, err := fill(src, recs)
+			recs = recs[:got]
+			if err != nil && err != io.EOF {
+				if len(recs) > 0 {
+					jobs <- encJob{seq: seq, recs: recs}
 				}
-				if err != nil {
-					if len(recs) > 0 {
-						jobs <- encJob{seq: seq, recs: recs}
-					}
-					prodErr <- err
-					return
-				}
-				recs = append(recs, rec)
+				prodErr <- err
+				return
 			}
 			if len(recs) == 0 {
 				break
@@ -118,7 +112,7 @@ func Build(w io.Writer, src trace.Reader, records uint64, opt BuildOptions) (Bui
 			jobs <- encJob{seq: seq, recs: recs}
 			seq++
 			emitted += uint64(len(recs))
-			if uint64(len(recs)) < n {
+			if err == io.EOF {
 				break // source ended early
 			}
 		}
@@ -170,4 +164,22 @@ func Build(w io.Writer, src trace.Reader, records uint64, opt BuildOptions) (Bui
 	info.Records = cw.total
 	info.Chunks = len(cw.chunks)
 	return info, nil
+}
+
+// fill reads records into dst through trace.Fill, so a BatchReader source
+// is drained in bulk, until dst is full or src fails. The error is io.EOF
+// when src ended first.
+func fill(src trace.Reader, dst []trace.Record) (int, error) {
+	n := 0
+	for n < len(dst) {
+		k, err := trace.Fill(src, dst[n:])
+		n += k
+		if err != nil {
+			return n, err
+		}
+		if k == 0 {
+			return n, io.EOF // a conforming BatchReader never does this
+		}
+	}
+	return n, nil
 }
