@@ -212,42 +212,24 @@ func BuildProfile(r trace.Reader, workloadHash string, skip, measure, interval u
 		Interval: interval,
 	}
 
-	batch := make([]trace.Record, 512)
-	br, batched := r.(trace.BatchReader)
-
+	buf := make([]trace.Record, 512)
 	var done uint64
 	total := skip + measure
-	buf := batch[:0]
-	bpos := 0
-	next := func(rec *trace.Record) error {
-		if batched {
-			if bpos >= len(buf) {
-				n, err := br.NextBatch(batch)
-				if err != nil {
-					return err
-				}
-				buf, bpos = batch[:n], 0
-			}
-			*rec = buf[bpos]
-			bpos++
-			return nil
-		}
-		return r.Next(rec)
-	}
-
-	var rec trace.Record
 	for done < total {
-		if err := next(&rec); err != nil {
-			if err == io.EOF {
-				break
+		n, err := trace.Fill(r, buf[:min(uint64(len(buf)), total-done)])
+		for i := range buf[:n] {
+			recording := done >= skip
+			p.step(&buf[i], recording)
+			done++
+			if recording && (done-skip)%interval == 0 {
+				prof.Intervals = append(prof.Intervals, p.finish())
 			}
-			return nil, fmt.Errorf("sampling: profiling pass: %w", err)
 		}
-		recording := done >= skip
-		p.step(&rec, recording)
-		done++
-		if recording && (done-skip)%interval == 0 {
-			prof.Intervals = append(prof.Intervals, p.finish())
+		if err == io.EOF || n == 0 && err == nil {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("sampling: profiling pass: %w", err)
 		}
 	}
 	if len(prof.Intervals) == 0 {
