@@ -84,7 +84,6 @@ func main() {
 		list      = flag.Bool("list", false, "list built-in workloads and exit")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the run completes")
-		refLoop   = flag.Bool("reference-loop", false, "run the per-record reference loop instead of the batched pipeline (verification; Stats are bit-identical, only throughput differs)")
 	)
 	flag.Parse()
 
@@ -181,14 +180,6 @@ func main() {
 	}
 
 	cjobs := buildJobs(*workload, *traceFile, *smt, spec, *warmup, *measure)
-	if *refLoop {
-		// Instrumented jobs opt out of keyed reuse (journal/store/cache), so
-		// a reference-loop run always simulates — exactly what the CI
-		// equivalence gate wants.
-		for i := range cjobs {
-			cjobs[i].Instrument = func(cfg *morrigan.Config) { cfg.ReferenceLoop = true }
-		}
-	}
 	var pol *morrigan.SamplingPolicy
 	if *sample {
 		p := morrigan.DefaultSamplingPolicy()

@@ -40,24 +40,26 @@ func samePage(a, b uint64) bool {
 }
 
 // NextLine is the baseline next-line prefetcher: on every fetch it prefetches
-// the following line unless that would cross a page boundary.
-type NextLine struct{}
+// the following line unless that would cross a page boundary. It learns
+// nothing; its one-element output buffer keeps OnFetch allocation-free.
+type NextLine struct{ out [1]uint64 }
 
 // Name implements Prefetcher.
-func (NextLine) Name() string { return "next-line" }
+func (*NextLine) Name() string { return "next-line" }
 
 // OnFetch implements Prefetcher.
-func (NextLine) OnFetch(line uint64, miss bool) []uint64 {
+func (n *NextLine) OnFetch(line uint64, miss bool) []uint64 {
 	if !samePage(line, line+1) {
 		return nil
 	}
-	return []uint64{line + 1}
+	n.out[0] = line + 1
+	return n.out[:]
 }
 
 // Flush implements Prefetcher.
-func (NextLine) Flush() {}
+func (*NextLine) Flush() {}
 
-var _ Prefetcher = NextLine{}
+var _ Prefetcher = (*NextLine)(nil)
 
 // mmaEntry holds the learned miss successors of one miss line.
 type mmaEntry struct {

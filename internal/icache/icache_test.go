@@ -165,3 +165,37 @@ func TestVirtualLineArithmetic(t *testing.T) {
 		t.Fatal("line arithmetic mismatch")
 	}
 }
+
+// TestOnFetchAllocationFree calls OnFetch through the Prefetcher interface,
+// as the simulator does, for every built-in kind after a warm-up stream, and
+// requires the fetch path to allocate nothing.
+func TestOnFetchAllocationFree(t *testing.T) {
+	for _, p := range []Prefetcher{&NextLine{}, DefaultFNLMMA(), DefaultEPI(), DefaultDJolt()} {
+		// Runs of four sequential lines 37 lines apart over 2,048 lines,
+		// every third fetch a miss; the warm-up covers the whole cycle.
+		// The candidates are consumed, as the simulator consumes them.
+		var i, sum uint64
+		fetch := func() {
+			i++
+			for _, line := range p.OnFetch((i/4*37+i%4)%2048, i%3 == 0) {
+				sum += line
+			}
+		}
+		for range 10_000 {
+			fetch()
+		}
+		// AllocsPerRun truncates to whole allocations per run, so each run
+		// makes 64 calls: one allocation in 64 calls still shows.
+		allocs := testing.AllocsPerRun(100, func() {
+			for range 64 {
+				fetch()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocs per 64 OnFetch calls, want 0", p.Name(), allocs)
+		}
+		if sum == 0 {
+			t.Errorf("%s: no prefetch candidates", p.Name())
+		}
+	}
+}

@@ -59,10 +59,19 @@ func NewEPI(entries, ways, destinations, window int) *EPI {
 	if window < 1 {
 		window = 1
 	}
+	// One array backs every entry's destinations and their recency stamps,
+	// so entangling never allocates.
+	ents := make([]epiEntry, entries)
+	store := make([]uint64, 2*entries*destinations)
+	for i := range ents {
+		d := store[2*i*destinations:]
+		ents[i].dst = d[:0:destinations]
+		ents[i].dused = d[destinations : destinations : 2*destinations]
+	}
 	return &EPI{
 		Destinations: destinations,
 		Window:       window,
-		ents:         make([]epiEntry, entries),
+		ents:         ents,
 		ways:         ways,
 		sets:         entries / ways,
 	}
@@ -98,8 +107,9 @@ func (e *EPI) find(line uint64, insert bool) *epiEntry {
 		return nil
 	}
 	e.tick++
-	set[victim] = epiEntry{line: line, used: e.tick, valid: true}
-	return &set[victim]
+	v := &set[victim] // keeps the victim's destination storage
+	*v = epiEntry{line: line, dst: v.dst[:0], dused: v.dused[:0], used: e.tick, valid: true}
+	return v
 }
 
 // entangle records dst as a destination of the current head.

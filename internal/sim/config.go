@@ -147,13 +147,6 @@ type Config struct {
 	// (used by the Section 3.3 characterisation figures).
 	OnISTLBMiss func(tid arch.ThreadID, vpn arch.VPN)
 
-	// ReferenceLoop selects the per-record reference run loop instead of the
-	// default batched loop that steps whole record-buffer slices. The two
-	// consume identical record sequences and produce bit-identical Stats
-	// (asserted by the equivalence suite); the reference loop exists as the
-	// simple implementation the batched one is checked against.
-	ReferenceLoop bool
-
 	// Probe, when non-nil, attaches the telemetry observability layer:
 	// interval time-series samples, a prefetch-lifecycle/page-walk event
 	// trace and latency histograms (see internal/telemetry). Probes observe

@@ -6,6 +6,7 @@ import (
 	"morrigan/internal/core"
 	"morrigan/internal/icache"
 	"morrigan/internal/tlbprefetch"
+	"morrigan/internal/trace"
 	"morrigan/internal/workloads"
 )
 
@@ -41,39 +42,54 @@ func fuzzICache(k uint8) icache.Prefetcher {
 	return nil
 }
 
-// FuzzBatchedLoopEquivalence drives randomly shaped workloads and machine
-// configurations through the batched and per-record reference run loops and
-// requires bit-identical Stats. The seed corpus covers every prefetcher,
+// capReader delivers its reader's records at most k per NextBatch, so the
+// simulator's record buffers run dry at arbitrary points inside SMT blocks.
+type capReader struct {
+	r trace.Reader
+	k int
+}
+
+func (c capReader) Next(rec *trace.Record) error { return c.r.Next(rec) }
+
+func (c capReader) NextBatch(dst []trace.Record) (int, error) {
+	return trace.Fill(c.r, dst[:min(len(dst), c.k)])
+}
+
+// FuzzBatchedLoopEquivalence is a record-boundary oracle: it drives randomly
+// shaped workloads and machine configurations through the run loop twice,
+// once on the workload's own reader and once with at most batchCap records
+// (1..511) per refill, and requires bit-identical Stats. With a cap of 1
+// every record follows a refill. The seed corpus covers every prefetcher,
 // I-cache prefetcher and page-table kind, SMT, context switches and the
 // page-crossing I-cache translation path, so a plain `go test` run already
-// sweeps the batched pipeline's interesting shapes.
+// sweeps the run loop's interesting shapes.
 func FuzzBatchedLoopEquivalence(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint16(8_000), false, uint32(0))
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(2), uint16(12_000), true, uint32(0))
-	f.Add(uint8(2), uint8(2), uint8(2), uint8(4), uint16(10_000), false, uint32(5_000))
-	f.Add(uint8(3), uint8(3), uint8(0), uint8(6), uint16(9_000), true, uint32(0))
-	f.Add(uint8(4), uint8(1), uint8(2), uint8(8), uint16(11_000), true, uint32(3_000))
-	f.Add(uint8(5), uint8(2), uint8(1), uint8(10), uint16(7_000), false, uint32(0))
-	f.Add(uint8(6), uint8(3), uint8(0), uint8(1), uint16(15_000), true, uint32(7_000))
-	f.Add(uint8(6), uint8(0), uint8(0), uint8(3), uint16(20_000), false, uint32(0))
-	f.Fuzz(func(t *testing.T, pfK, icK, ptK, wlK uint8, measure uint16, smt bool, ctxSwitch uint32) {
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint16(8_000), false, uint32(0), uint16(1))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(2), uint16(12_000), true, uint32(0), uint16(1))
+	f.Add(uint8(2), uint8(2), uint8(2), uint8(4), uint16(10_000), false, uint32(5_000), uint16(3))
+	f.Add(uint8(3), uint8(3), uint8(0), uint8(6), uint16(9_000), true, uint32(0), uint16(5))
+	f.Add(uint8(4), uint8(1), uint8(2), uint8(8), uint16(11_000), true, uint32(3_000), uint16(13))
+	f.Add(uint8(5), uint8(2), uint8(1), uint8(10), uint16(7_000), false, uint32(0), uint16(511))
+	f.Add(uint8(6), uint8(3), uint8(0), uint8(1), uint16(15_000), true, uint32(7_000), uint16(100))
+	f.Add(uint8(6), uint8(0), uint8(0), uint8(3), uint16(20_000), false, uint32(0), uint16(64))
+	f.Fuzz(func(t *testing.T, pfK, icK, ptK, wlK uint8, measure uint16, smt bool, ctxSwitch uint32, batchCap uint16) {
 		n := uint64(measure)
 		if n < 1_000 {
 			n = 1_000
 		}
+		k := max(1, int(batchCap%512))
 		qmm := workloads.QMM()
-		run := func(ref bool) Stats {
+		run := func(wrap func(trace.Reader) trace.Reader) Stats {
 			cfg := DefaultConfig()
 			cfg.Prefetcher = fuzzPrefetcher(pfK)
 			cfg.ICachePrefetcher = fuzzICache(icK)
 			cfg.ICacheTLBCost = icK%4 != 0
 			cfg.PageTable = PageTableKind(ptK % 3)
 			cfg.ContextSwitchInterval = uint64(ctxSwitch)
-			cfg.ReferenceLoop = ref
-			threads := []ThreadSpec{{Reader: qmm[int(wlK)%len(qmm)].NewReader()}}
+			threads := []ThreadSpec{{Reader: wrap(qmm[int(wlK)%len(qmm)].NewReader())}}
 			if smt {
 				threads = append(threads, ThreadSpec{
-					Reader:   qmm[(int(wlK)+1)%len(qmm)].NewReader(),
+					Reader:   wrap(qmm[(int(wlK)+1)%len(qmm)].NewReader()),
 					VAOffset: 1 << 40,
 				})
 			}
@@ -84,9 +100,10 @@ func FuzzBatchedLoopEquivalence(f *testing.F) {
 			}
 			return st
 		}
-		batched, reference := run(false), run(true)
-		if batched != reference {
-			t.Fatalf("batched loop diverged from reference:\nbatched:   %+v\nreference: %+v", batched, reference)
+		whole := run(func(r trace.Reader) trace.Reader { return r })
+		capped := run(func(r trace.Reader) trace.Reader { return capReader{r, k} })
+		if whole != capped {
+			t.Fatalf("%d-record batches changed Stats:\nwhole:  %+v\ncapped: %+v", k, whole, capped)
 		}
 	})
 }

@@ -34,30 +34,13 @@ func BenchmarkTranslateInstr(b *testing.B) {
 	}
 }
 
-// BenchmarkRunMorrigan measures the full batched pipeline end to end: the
-// per-instruction cost of run/step/fetch/data over the synthetic server
+// BenchmarkRunMorrigan measures the run loop end to end: the
+// per-instruction cost of drive/step/fetch/data over the synthetic server
 // workload with the Morrigan prefetcher, the configuration the campaign
 // throughput gate tracks.
 func BenchmarkRunMorrigan(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Prefetcher = core.New(core.DefaultConfig())
-	s, err := New(cfg, []ThreadSpec{{Reader: testWorkload()}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := s.run(context.Background(), uint64(b.N)); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkRunReferenceMorrigan is the per-record reference loop under the
-// same configuration, for comparing against BenchmarkRunMorrigan.
-func BenchmarkRunReferenceMorrigan(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Prefetcher = core.New(core.DefaultConfig())
-	cfg.ReferenceLoop = true
 	s, err := New(cfg, []ThreadSpec{{Reader: testWorkload()}})
 	if err != nil {
 		b.Fatal(err)

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"morrigan/internal/arch"
 	"morrigan/internal/cache"
@@ -30,39 +29,12 @@ import (
 // architecturally-tagged state exactly as timed execution would), clocked by
 // retired-plus-fast-forwarded instructions.
 func (s *Simulator) FastForward(ctx context.Context, n uint64) error {
-	var rec trace.Record
-	done := uint64(0)
-	nextCheck := uint64(cancelCheckInterval)
-	ti := 0
-	for done < n {
-		if done >= nextCheck {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("sim: fast-forward interrupted: %w", err)
-			}
-			nextCheck += cancelCheckInterval
-		}
-		th := s.threads[ti]
-		if th.done {
-			ti = (ti + 1) % len(s.threads)
-			if s.allDone() {
-				return fmt.Errorf("sim: trace ended %d instructions short of the fast-forward target %d", n-done, n)
-			}
-			continue
-		}
-		for b := 0; b < s.cfg.SMTBlock && done < n; b++ {
-			err := th.next(&rec)
-			if err == io.EOF {
-				th.done = true
-				break
-			}
-			if err != nil {
-				return fmt.Errorf("sim: reading trace during fast-forward: %w", err)
-			}
-			s.ffStep(arch.ThreadID(ti), th, &rec)
-			done++
-			s.fastForwarded++
-		}
-		ti = (ti + 1) % len(s.threads)
+	done, err := s.drive(ctx, n, false)
+	if err != nil {
+		return fmt.Errorf("sim: fast-forward: %w", err)
+	}
+	if done < n {
+		return fmt.Errorf("sim: trace ended %d instructions short of the fast-forward target %d", n-done, n)
 	}
 	return nil
 }

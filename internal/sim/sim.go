@@ -8,6 +8,7 @@ import (
 	"morrigan/internal/arch"
 	"morrigan/internal/cache"
 	"morrigan/internal/cpu"
+	"morrigan/internal/icache"
 	"morrigan/internal/pagetable"
 	"morrigan/internal/ptw"
 	"morrigan/internal/telemetry"
@@ -17,9 +18,13 @@ import (
 )
 
 // batchSize is the per-thread record buffer refilled from the trace reader:
-// one refill supplies this many instructions to the hot loop, which the
-// batched run path consumes as contiguous slices.
+// one refill supplies up to this many instructions to drive, which consumes
+// them as contiguous slices.
 const batchSize = 512
+
+// linesPerPage is the number of cache lines per 4 KB page, shared by the
+// I-cache prefetch paths.
+const linesPerPage = arch.PageSize / arch.LineSize
 
 // thread is the per-hardware-thread front-end state.
 type thread struct {
@@ -28,10 +33,10 @@ type thread struct {
 
 	// buf[bpos:blen] holds fetched-ahead records; every reader is consumed
 	// through it (trace.Fill uses the reader's bulk interface when it has
-	// one). The consumed record sequence is identical to calling reader.Next
-	// per instruction, so batched and reference runs produce bit-identical
-	// stats. pendingErr defers a mid-fill error from a plain reader until
-	// its preceding records have been consumed.
+	// one). Where a refill ends never shows in the Stats: drive takes the
+	// same record sequence whatever the batch lengths. pendingErr defers a
+	// mid-fill error from a plain reader until its preceding records have
+	// been consumed.
 	buf        []trace.Record
 	bpos       int
 	blen       int
@@ -64,18 +69,6 @@ func (th *thread) refill() error {
 	return nil
 }
 
-// next fetches the thread's next record through the batch buffer.
-func (th *thread) next(rec *trace.Record) error {
-	if th.bpos >= th.blen {
-		if err := th.refill(); err != nil {
-			return err
-		}
-	}
-	*rec = th.buf[th.bpos]
-	th.bpos++
-	return nil
-}
-
 // MaxThreads is the most hardware threads one simulated machine can run.
 // The bound keeps per-thread statistics in fixed-size (comparable) arrays;
 // colocation experiments use up to 16-way shared-STLB mixes.
@@ -93,8 +86,8 @@ type Simulator struct {
 	dtlb   *tlb.TLB
 	stlb   *tlb.TLB
 	pb     *tlbprefetch.PrefetchBuffer
-	pf     pfDispatch
-	icpf   icDispatch
+	pf     tlbprefetch.Prefetcher
+	icpf   icache.Prefetcher
 	core   *cpu.Core
 
 	threads []*thread
@@ -192,8 +185,13 @@ func New(cfg Config, threads []ThreadSpec) (*Simulator, error) {
 	}
 	s.itlb, s.dtlb, s.stlb = cfg.tlbs()
 	s.walker = ptw.New(s.pt, s.mem, cfg.Walker)
-	s.pf = newPFDispatch(cfg.Prefetcher)
-	s.icpf = newICDispatch(cfg.ICachePrefetcher)
+	s.pf, s.icpf = cfg.Prefetcher, cfg.ICachePrefetcher
+	if s.pf == nil {
+		s.pf = tlbprefetch.None{}
+	}
+	if s.icpf == nil {
+		s.icpf = &icache.NextLine{}
+	}
 	for _, ts := range threads {
 		if ts.Reader == nil {
 			return nil, fmt.Errorf("sim: thread with nil reader")
@@ -284,72 +282,29 @@ func (s *Simulator) RunContext(ctx context.Context, warmup, measure uint64) (Sta
 	return s.Snapshot(), nil
 }
 
-// run executes n instructions, interleaving threads in SMTBlock-sized
-// groups. It stops early (without error) when every thread's trace ends.
-// The batched path is the default; Config.ReferenceLoop selects the
-// per-record reference loop the equivalence suite compares it against.
+// run executes n instructions in full timing detail. It stops early (without
+// error) when every thread's trace ends.
 func (s *Simulator) run(ctx context.Context, n uint64) error {
-	if s.cfg.ReferenceLoop {
-		return s.runReference(ctx, n)
-	}
-	return s.runBatched(ctx, n)
-}
-
-// runReference is the per-record reference implementation of the run loop:
-// one th.next call and one step per instruction.
-func (s *Simulator) runReference(ctx context.Context, n uint64) error {
-	var rec trace.Record
-	executed := uint64(0)
-	nextCheck := uint64(cancelCheckInterval)
-	ti := 0
-	for executed < n {
-		if executed >= nextCheck {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("sim: run interrupted: %w", err)
-			}
-			nextCheck += cancelCheckInterval
-		}
-		th := s.threads[ti]
-		if th.done {
-			ti = (ti + 1) % len(s.threads)
-			if s.allDone() {
-				return nil
-			}
-			continue
-		}
-		for b := 0; b < s.cfg.SMTBlock && executed < n; b++ {
-			err := th.next(&rec)
-			if err == io.EOF {
-				th.done = true
-				break
-			}
-			if err != nil {
-				return fmt.Errorf("sim: reading trace: %w", err)
-			}
-			s.step(arch.ThreadID(ti), th, &rec)
-			executed++
-			s.executed++
-		}
-		ti = (ti + 1) % len(s.threads)
+	if _, err := s.drive(ctx, n, true); err != nil {
+		return fmt.Errorf("sim: run: %w", err)
 	}
 	return nil
 }
 
-// runBatched is the production run loop: it consumes each thread's record
-// buffer as contiguous slices, stepping whole sub-blocks without the
-// per-instruction record copy and buffer bookkeeping of the reference loop.
-// Records are consumed in exactly the order runReference consumes them — the
-// same buffer, the same SMT rotation, the same end-of-trace handling — so
-// both paths produce bit-identical Stats (asserted by the equivalence
-// suite).
-func (s *Simulator) runBatched(ctx context.Context, n uint64) error {
-	executed := uint64(0)
+// drive is the simulator's one record loop. It takes up to n records from
+// the threads' buffers, SMTBlock records from each live thread in turn, and
+// executes each one with step (timed) or ffStep (functional). It returns how
+// many records it took, fewer than n only when every thread's trace has
+// ended. A buffer running dry mid-block is refilled without ending the
+// block, so where a reader's batches end never changes the rotation.
+func (s *Simulator) drive(ctx context.Context, n uint64, timed bool) (uint64, error) {
+	done := uint64(0)
 	nextCheck := uint64(cancelCheckInterval)
 	ti := 0
-	for executed < n {
-		if executed >= nextCheck {
+	for done < n {
+		if done >= nextCheck {
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("sim: run interrupted: %w", err)
+				return done, fmt.Errorf("interrupted: %w", err)
 			}
 			nextCheck += cancelCheckInterval
 		}
@@ -357,14 +312,12 @@ func (s *Simulator) runBatched(ctx context.Context, n uint64) error {
 		if th.done {
 			ti = (ti + 1) % len(s.threads)
 			if s.allDone() {
-				return nil
+				return done, nil
 			}
 			continue
 		}
-		block := uint64(s.cfg.SMTBlock)
-		if left := n - executed; left < block {
-			block = left
-		}
+		tid := arch.ThreadID(ti)
+		block := min(uint64(s.cfg.SMTBlock), n-done)
 		for block > 0 {
 			if th.bpos >= th.blen {
 				err := th.refill()
@@ -373,30 +326,31 @@ func (s *Simulator) runBatched(ctx context.Context, n uint64) error {
 					break
 				}
 				if err != nil {
-					return fmt.Errorf("sim: reading trace: %w", err)
+					return done, fmt.Errorf("reading trace: %w", err)
 				}
 			}
-			take := uint64(th.blen - th.bpos)
-			if take > block {
-				take = block
-			}
+			take := min(uint64(th.blen-th.bpos), block)
 			recs := th.buf[th.bpos : th.bpos+int(take)]
 			th.bpos += int(take)
-			s.stepBlock(arch.ThreadID(ti), th, recs)
-			executed += take
-			s.executed += take
+			if timed {
+				for i := range recs {
+					s.step(tid, th, &recs[i])
+				}
+				s.executed += take
+			} else {
+				// Counted per record: ffStep's context-switch check
+				// reads the count.
+				for i := range recs {
+					s.ffStep(tid, th, &recs[i])
+					s.fastForwarded++
+				}
+			}
+			done += take
 			block -= take
 		}
 		ti = (ti + 1) % len(s.threads)
 	}
-	return nil
-}
-
-// stepBlock executes a contiguous slice of one thread's records.
-func (s *Simulator) stepBlock(tid arch.ThreadID, th *thread, recs []trace.Record) {
-	for i := range recs {
-		s.step(tid, th, &recs[i])
-	}
+	return done, nil
 }
 
 func (s *Simulator) allDone() bool {
@@ -747,7 +701,9 @@ func (s *Simulator) resetStats() {
 		s.probe.Reset()
 		s.probeNext = s.probe.Interval()
 	}
-	s.pf.ResetStats()
+	if r, ok := s.pf.(interface{ ResetStats() }); ok {
+		r.ResetStats() // Morrigan's IRIP/SDP hit attribution
+	}
 }
 
 // telemetrySample snapshots the cumulative counters the telemetry probe

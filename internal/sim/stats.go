@@ -154,9 +154,12 @@ func (s *Simulator) Snapshot() Stats {
 	for l := 0; l < arch.NumLevels; l++ {
 		st.PrefetchRefsByLevel[l] = s.mem.Served(cache.KindPTWPrefetch, arch.Level(l))
 	}
-	if irip, sdp, ok := s.pf.moduleHits(); ok {
-		st.IRIPHits = irip
-		st.SDPHits = sdp
+	if m, ok := s.pf.(interface {
+		IRIPHits() uint64
+		SDPHits() uint64
+	}); ok {
+		st.IRIPHits = m.IRIPHits()
+		st.SDPHits = m.SDPHits()
 	}
 	return st
 }

@@ -228,7 +228,7 @@ type (
 
 // NewNextLinePrefetcher returns the baseline next-line I-cache prefetcher,
 // which never crosses page boundaries.
-func NewNextLinePrefetcher() ICachePrefetcher { return icache.NextLine{} }
+func NewNextLinePrefetcher() ICachePrefetcher { return &icache.NextLine{} }
 
 // NewFNLMMA returns the FNL+MMA-style page-crossing I-cache prefetcher (the
 // IPC-1 winner the paper carries into Sections 6.5/6.6).
