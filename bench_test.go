@@ -111,10 +111,10 @@ func BenchmarkSimulatorTelemetry(b *testing.B) {
 // BenchmarkTraceGeneration measures synthetic trace production speed.
 func BenchmarkTraceGeneration(b *testing.B) {
 	gen := morrigan.NewServerTrace(morrigan.QMMWorkloads()[0].Params)
-	var rec morrigan.TraceRecord
+	rec := make([]morrigan.TraceRecord, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := gen.Next(&rec); err != nil {
+		if _, err := gen.NextBatch(rec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,10 +140,8 @@ func BenchmarkMorriganOnMiss(b *testing.B) {
 func BenchmarkTraceFileWrite(b *testing.B) {
 	gen := morrigan.NewServerTrace(morrigan.QMMWorkloads()[0].Params)
 	recs := make([]morrigan.TraceRecord, 10000)
-	for i := range recs {
-		if err := gen.Next(&recs[i]); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := gen.NextBatch(recs); err != nil {
+		b.Fatal(err)
 	}
 	w, err := morrigan.NewTraceWriter(discard{}, false)
 	if err != nil {

@@ -75,14 +75,19 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	gen := w.NewReader()
-	var rec morrigan.TraceRecord
-	for i := uint64(0); i < *n; i++ {
-		if err := gen.Next(&rec); err != nil {
+	gen := morrigan.LimitTrace(w.NewReader(), *n)
+	buf := make([]morrigan.TraceRecord, 4096)
+	for {
+		k, err := gen.NextBatch(buf)
+		if err == io.EOF {
+			break
+		} else if err != nil {
 			fatal("generating: %v", err)
 		}
-		if err := tw.Write(&rec); err != nil {
-			fatal("writing: %v", err)
+		for i := range buf[:k] {
+			if err := tw.Write(&buf[i]); err != nil {
+				fatal("writing: %v", err)
+			}
 		}
 	}
 	if err := tw.Close(); err != nil {
@@ -131,15 +136,15 @@ func buildCorpus(w morrigan.Workload, n uint64, dir string, chunkRecs, workers i
 	}
 }
 
-// writeBench times four full passes over the corpus's record stream — the
-// live generator, a cold corpus read that pays the one-time chunk decode,
-// then the corpus reader record-at-a-time and in batches against the now
-// resident cache — and emits a BENCH_*.json summary whose per-entry rate is
-// records (instructions) per second. The warm corpus entries are the
-// artifact's headline: they are the regime campaign jobs run in, where the
-// shared chunk cache has amortised decoding across jobs, and they must beat
-// regenerating the trace live. The cold entry records what the first reader
-// of each chunk pays.
+// writeBench times three full passes over the corpus's record stream, each
+// read in batches — the live generator, a cold corpus read that pays the
+// one-time chunk decode, then the corpus reader against the now resident
+// cache — and emits a BENCH_*.json summary whose per-entry rate is records
+// (instructions) per second. The warm corpus entry is the artifact's
+// headline: it is the regime campaign jobs run in, where the shared chunk
+// cache has amortised decoding across jobs, and it must beat regenerating
+// the trace live. The cold entry records what the first reader of each
+// chunk pays.
 func writeBench(path string, w morrigan.Workload, c *morrigan.Corpus, store *morrigan.CorpusStore) {
 	records := c.Records()
 	b := morrigan.CampaignBench{
@@ -166,20 +171,7 @@ func writeBench(path string, w morrigan.Workload, c *morrigan.Corpus, store *mor
 		b.TotalElapsedMS += ms
 		b.Entries = append(b.Entries, e)
 	}
-	var rec morrigan.TraceRecord
-	add("trace/generator/"+w.Name, func() error {
-		r := morrigan.LimitTrace(w.NewReader(), records)
-		for {
-			if err := r.Next(&rec); err == io.EOF {
-				return nil
-			} else if err != nil {
-				return err
-			}
-		}
-	})
-	drainBatches := func() error {
-		r := c.NewReader()
-		defer r.Close()
+	drain := func(r morrigan.TraceReader) error {
 		buf := make([]morrigan.TraceRecord, 4096)
 		for {
 			if _, err := r.NextBatch(buf); err == io.EOF {
@@ -189,19 +181,16 @@ func writeBench(path string, w morrigan.Workload, c *morrigan.Corpus, store *mor
 			}
 		}
 	}
-	add("trace/corpus-cold/"+w.Name, drainBatches)
-	add("trace/corpus/"+w.Name, func() error {
+	add("trace/generator/"+w.Name, func() error {
+		return drain(morrigan.LimitTrace(w.NewReader(), records))
+	})
+	readCorpus := func() error {
 		r := c.NewReader()
 		defer r.Close()
-		for {
-			if err := r.Next(&rec); err == io.EOF {
-				return nil
-			} else if err != nil {
-				return err
-			}
-		}
-	})
-	add("trace/corpus-batch/"+w.Name, drainBatches)
+		return drain(r)
+	}
+	add("trace/corpus-cold/"+w.Name, readCorpus)
+	add("trace/corpus/"+w.Name, readCorpus)
 	if b.TotalElapsedMS > 0 {
 		b.InstrPerSec = float64(b.TotalInstructions) / (b.TotalElapsedMS / 1000)
 	}

@@ -160,7 +160,7 @@ func traceFileInfo(path string) {
 	}
 
 	var (
-		rec         morrigan.TraceRecord
+		buf         = make([]morrigan.TraceRecord, 4096)
 		n           uint64
 		loads       uint64
 		stores      uint64
@@ -171,29 +171,31 @@ func traceFileInfo(path string) {
 		pageFreq    = stats.NewPageFrequency()
 	)
 	for {
-		err := r.Next(&rec)
+		k, err := r.NextBatch(buf)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			fatal("reading record %d: %v", n, err)
 		}
-		vpn := rec.PC.Page()
-		codePages[vpn] = true
-		if n > 0 && vpn != prevPage {
-			transitions++
-			pageFreq.Observe(uint64(vpn))
+		for _, rec := range buf[:k] {
+			vpn := rec.PC.Page()
+			codePages[vpn] = true
+			if n > 0 && vpn != prevPage {
+				transitions++
+				pageFreq.Observe(uint64(vpn))
+			}
+			prevPage = vpn
+			if rec.HasLoad() {
+				loads++
+				dataPages[rec.Load.Page()] = true
+			}
+			if rec.HasStore() {
+				stores++
+				dataPages[rec.Store.Page()] = true
+			}
+			n++
 		}
-		prevPage = vpn
-		if rec.HasLoad() {
-			loads++
-			dataPages[rec.Load.Page()] = true
-		}
-		if rec.HasStore() {
-			stores++
-			dataPages[rec.Store.Page()] = true
-		}
-		n++
 	}
 	if n == 0 {
 		fatal("empty trace")

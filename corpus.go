@@ -3,7 +3,6 @@ package morrigan
 import (
 	"io"
 
-	"morrigan/internal/trace"
 	"morrigan/internal/tracestore"
 )
 
@@ -20,8 +19,8 @@ type (
 	// Corpus is one open container; NewReader starts a pipelined stream.
 	Corpus = tracestore.Corpus
 	// CorpusReader streams a corpus with decode-ahead; it implements
-	// TraceReader, TraceBatchReader and io.Closer (Close releases cached
-	// chunks the reader still pins).
+	// TraceReader and io.Closer (Close releases cached chunks the reader
+	// still pins).
 	CorpusReader = tracestore.Reader
 	// CorpusCacheStats snapshots the shared decoded-chunk cache.
 	CorpusCacheStats = tracestore.CacheStats
@@ -33,9 +32,6 @@ type (
 	CorpusManifest = tracestore.Manifest
 	// CorpusChunkInfo describes one chunk of an open container.
 	CorpusChunkInfo = tracestore.ChunkInfo
-	// TraceBatchReader is a TraceReader that also delivers records in
-	// batches; the simulator's instruction loop uses it when available.
-	TraceBatchReader = trace.BatchReader
 )
 
 // OpenCorpusStore opens (creating if necessary) a corpus directory.

@@ -21,13 +21,12 @@ func TestFileTraceMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := w.NewReader()
-	var rec morrigan.TraceRecord
-	for i := 0; i < n; i++ {
-		if err := gen.Next(&rec); err != nil {
-			t.Fatal(err)
-		}
-		if err := tw.Write(&rec); err != nil {
+	recs := make([]morrigan.TraceRecord, n)
+	if _, err := w.NewReader().NextBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		if err := tw.Write(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -19,7 +19,10 @@ type access struct {
 // instruction line, then the record's load and store. Pages map to frames in
 // first-touch order, a fixed stand-in for the simulator's frame allocator.
 func qmmStream(n int) []access {
-	r := workloads.QMM()[0].NewReader()
+	recs, err := trace.Slice(workloads.QMM()[0].NewReader(), n)
+	if err != nil {
+		panic(err)
+	}
 	frames := map[arch.VPN]arch.PFN{}
 	phys := func(va arch.VAddr) arch.PAddr {
 		pfn, ok := frames[va.Page()]
@@ -30,12 +33,8 @@ func qmmStream(n int) []access {
 		return arch.Translate(pfn, va)
 	}
 	var out []access
-	var rec trace.Record
 	lastLine := ^uint64(0)
-	for i := 0; i < n; i++ {
-		if err := r.Next(&rec); err != nil {
-			panic(err)
-		}
+	for _, rec := range recs {
 		if line := rec.PC.Line(); line != lastLine {
 			out = append(out, access{KindFetch, phys(rec.PC)})
 			lastLine = line

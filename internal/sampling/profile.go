@@ -216,7 +216,13 @@ func BuildProfile(r trace.Reader, workloadHash string, skip, measure, interval u
 	var done uint64
 	total := skip + measure
 	for done < total {
-		n, err := trace.Fill(r, buf[:min(uint64(len(buf)), total-done)])
+		n, err := r.NextBatch(buf[:min(uint64(len(buf)), total-done)])
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("sampling: profiling pass: %w", err)
+		}
+		if n == 0 {
+			break // end of stream
+		}
 		for i := range buf[:n] {
 			recording := done >= skip
 			p.step(&buf[i], recording)
@@ -224,12 +230,6 @@ func BuildProfile(r trace.Reader, workloadHash string, skip, measure, interval u
 			if recording && (done-skip)%interval == 0 {
 				prof.Intervals = append(prof.Intervals, p.finish())
 			}
-		}
-		if err == io.EOF || n == 0 && err == nil {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sampling: profiling pass: %w", err)
 		}
 	}
 	if len(prof.Intervals) == 0 {

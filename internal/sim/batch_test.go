@@ -7,15 +7,10 @@ import (
 	"morrigan/internal/workloads"
 )
 
-// plainReader hides a reader's NextBatch so the simulator takes the
-// record-at-a-time path.
-type plainReader struct{ r trace.Reader }
-
-func (p plainReader) Next(rec *trace.Record) error { return p.r.Next(rec) }
-
-// TestBatchPathMatchesPlain runs the same record stream through the batch
-// and per-record supply paths and requires bit-identical Stats: the batch
-// wiring is a pure throughput optimisation.
+// TestBatchPathMatchesPlain runs the same record stream through whole-slice
+// batches and through a reader that returns one record per call, and
+// requires bit-identical Stats: where a reader's batches end never shows in
+// a result.
 func TestBatchPathMatchesPlain(t *testing.T) {
 	const warmup, measure = 20_000, 80_000
 	recs, err := trace.Slice(testWorkload(), warmup+measure)
@@ -31,14 +26,14 @@ func TestBatchPathMatchesPlain(t *testing.T) {
 		return st
 	}
 	batch := run(&trace.SliceReader{Records: recs})
-	plain := run(plainReader{&trace.SliceReader{Records: recs}})
+	plain := run(capReader{&trace.SliceReader{Records: recs}, 1})
 	if batch != plain {
-		t.Fatalf("batch path diverged from plain path:\nbatch: %+v\nplain: %+v", batch, plain)
+		t.Fatalf("whole-slice batches diverged from one-record batches:\nbatch: %+v\nplain: %+v", batch, plain)
 	}
 }
 
-// TestBatchPathSMT is the two-thread variant: both threads on the batch
-// path must equal both on the plain path.
+// TestBatchPathSMT is the two-thread variant: both threads on whole-slice
+// batches must equal both on one-record batches.
 func TestBatchPathSMT(t *testing.T) {
 	const warmup, measure = 10_000, 40_000
 	a, err := trace.Slice(workloads.QMM()[1].NewReader(), warmup+measure)
@@ -61,8 +56,8 @@ func TestBatchPathSMT(t *testing.T) {
 		return st
 	}
 	batch := run(func(r trace.Reader) trace.Reader { return r })
-	plain := run(func(r trace.Reader) trace.Reader { return plainReader{r} })
+	plain := run(func(r trace.Reader) trace.Reader { return capReader{r, 1} })
 	if batch != plain {
-		t.Fatalf("SMT batch path diverged from plain path:\nbatch: %+v\nplain: %+v", batch, plain)
+		t.Fatalf("SMT whole-slice batches diverged from one-record batches:\nbatch: %+v\nplain: %+v", batch, plain)
 	}
 }

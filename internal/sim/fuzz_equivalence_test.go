@@ -49,10 +49,8 @@ type capReader struct {
 	k int
 }
 
-func (c capReader) Next(rec *trace.Record) error { return c.r.Next(rec) }
-
 func (c capReader) NextBatch(dst []trace.Record) (int, error) {
-	return trace.Fill(c.r, dst[:min(len(dst), c.k)])
+	return c.r.NextBatch(dst[:min(len(dst), c.k)])
 }
 
 // FuzzBatchedLoopEquivalence is a record-boundary oracle: it drives randomly

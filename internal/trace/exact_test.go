@@ -204,7 +204,7 @@ func TestZipfTableBuckets(t *testing.T) {
 
 // TestNextBatchMatchesNext reads a generator in batches of sizes that
 // straddle the source's 607-value blocks and checks every record against a
-// twin read one record at a time, across phase changes.
+// twin read in one-record batches, across phase changes.
 func TestNextBatchMatchesNext(t *testing.T) {
 	p := workloads.QMM()[0].Params
 	short := p
@@ -213,18 +213,18 @@ func TestNextBatchMatchesNext(t *testing.T) {
 		one, batched := trace.NewServerGenerator(p), trace.NewServerGenerator(p)
 		sizes := []int{1, 7, 512, 4093}
 		buf := make([]trace.Record, 4093)
-		var rec trace.Record
+		rec := make([]trace.Record, 1)
 		for i, n := 0, 0; n < 300_000; i++ {
 			b := buf[:sizes[i%len(sizes)]]
 			if got, err := batched.NextBatch(b); err != nil || got != len(b) {
 				t.Fatalf("NextBatch(%d) = %d, %v", len(b), got, err)
 			}
 			for j := range b {
-				if err := one.Next(&rec); err != nil {
-					t.Fatal(err)
+				if got, err := one.NextBatch(rec); err != nil || got != 1 {
+					t.Fatalf("NextBatch(1) = %d, %v", got, err)
 				}
-				if rec != b[j] {
-					t.Fatalf("PhaseLen %d: record %d: batched %+v, per-record %+v", p.PhaseLen, n+j, b[j], rec)
+				if rec[0] != b[j] {
+					t.Fatalf("PhaseLen %d: record %d: batched %+v, one-record %+v", p.PhaseLen, n+j, b[j], rec[0])
 				}
 			}
 			n += len(b)

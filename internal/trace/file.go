@@ -103,6 +103,7 @@ func (t *Writer) Close() error {
 type FileReader struct {
 	r      *bufio.Reader
 	lastPC arch.VAddr
+	err    error // sticky: io.EOF or the first decode error
 }
 
 // NewFileReader wraps r, transparently decompressing gzip streams, and
@@ -129,12 +130,28 @@ func NewFileReader(r io.Reader) (*FileReader, error) {
 	return &FileReader{r: br}, nil
 }
 
-// Next implements Reader.
-func (f *FileReader) Next(rec *Record) error {
-	kind, err := f.r.ReadByte()
-	if err == io.EOF {
-		return io.EOF
+// NextBatch implements Reader. The first decode error (or io.EOF) is held
+// back until the records decoded before it have been delivered: the call
+// that meets it returns those records, and every later call returns the
+// error.
+func (f *FileReader) NextBatch(dst []Record) (int, error) {
+	if f.err != nil {
+		return 0, f.err
 	}
+	for i := range dst {
+		if f.err = f.decode(&dst[i]); f.err != nil {
+			if i > 0 {
+				return i, nil
+			}
+			return 0, f.err
+		}
+	}
+	return len(dst), nil
+}
+
+// decode reads one record into rec.
+func (f *FileReader) decode(rec *Record) error {
+	kind, err := f.r.ReadByte()
 	if err != nil {
 		return err
 	}

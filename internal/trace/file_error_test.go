@@ -59,7 +59,7 @@ func TestFileReaderTruncated(t *testing.T) {
 
 	// A truncated header must fail construction; any longer prefix must
 	// yield ErrCorrupt (or a clean EOF exactly on a record boundary) from
-	// Next, never a wrong record or a hang.
+	// NextBatch, never a wrong record or a hang.
 	for cut := 0; cut < len(raw); cut++ {
 		r, err := NewFileReader(bytes.NewReader(raw[:cut]))
 		if cut < len(fileMagic)+1 {
@@ -71,17 +71,20 @@ func TestFileReaderTruncated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: NewFileReader: %v", cut, err)
 		}
-		var rec Record
-		for i := 0; ; i++ {
-			err := r.Next(&rec)
+		buf := make([]Record, 2)
+		for i := 0; ; {
+			n, err := r.NextBatch(buf)
 			if err == nil {
-				if i >= len(recs) || rec != recs[i] {
-					t.Fatalf("cut=%d: record %d = %+v", cut, i, rec)
+				for _, rec := range buf[:n] {
+					if i >= len(recs) || rec != recs[i] {
+						t.Fatalf("cut=%d: record %d = %+v", cut, i, rec)
+					}
+					i++
 				}
 				continue
 			}
-			if err != io.EOF && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("cut=%d: err = %v, want EOF or ErrCorrupt", cut, err)
+			if n != 0 || err != io.EOF && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("cut=%d: NextBatch = %d, %v, want 0 with EOF or ErrCorrupt", cut, n, err)
 			}
 			break
 		}
@@ -94,19 +97,19 @@ func TestFileReaderAfterEOF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec Record
-	if err := r.Next(&rec); err != nil || rec.PC != 0x40_0000 {
-		t.Fatalf("Next = %+v, %v", rec, err)
+	buf := make([]Record, 4)
+	if n, err := r.NextBatch(buf); n != 1 || err != nil || buf[0].PC != 0x40_0000 {
+		t.Fatalf("NextBatch = %d, %+v, %v", n, buf[0], err)
 	}
 	// The reader must keep reporting io.EOF on every call past the end,
-	// without mutating the output record.
+	// without mutating the output records.
 	for i := 0; i < 3; i++ {
-		saved := rec
-		if err := r.Next(&rec); err != io.EOF {
-			t.Fatalf("Next after EOF (call %d) = %v, want io.EOF", i, err)
+		saved := buf[0]
+		if n, err := r.NextBatch(buf); n != 0 || err != io.EOF {
+			t.Fatalf("NextBatch after EOF (call %d) = %d, %v, want 0, io.EOF", i, n, err)
 		}
-		if rec != saved {
-			t.Fatalf("Next after EOF mutated record: %+v", rec)
+		if buf[0] != saved {
+			t.Fatalf("NextBatch after EOF mutated a record: %+v", buf[0])
 		}
 	}
 }
@@ -120,9 +123,40 @@ func TestFileReaderBadRecordKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec Record
-	if err := r.Next(&rec); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bad record kind: err = %v, want ErrCorrupt", err)
+	if n, err := r.NextBatch(make([]Record, 1)); n != 0 || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("bad record kind: NextBatch = %d, %v, want 0, ErrCorrupt", n, err)
+	}
+}
+
+// TestFileReaderHoldsBackCorruptRecord corrupts record k of a flat file: the
+// first NextBatch must deliver exactly the k good records before it with a
+// nil error, and the next call must report ErrCorrupt with no records.
+func TestFileReaderHoldsBackCorruptRecord(t *testing.T) {
+	recs, err := Slice(NewServerGenerator(testParams()), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 17, 39} {
+		raw := encodeTrace(t, recs, false)
+		// Record k's kind byte follows the header and records 0..k-1.
+		raw[len(encodeTrace(t, recs[:k], false))] = recKindMax + 1
+		r, err := NewFileReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]Record, len(recs))
+		n, err := r.NextBatch(buf)
+		if n != k || err != nil {
+			t.Fatalf("k=%d: first NextBatch = %d, %v, want %d, nil", k, n, err, k)
+		}
+		for i := range buf[:n] {
+			if buf[i] != recs[i] {
+				t.Fatalf("k=%d: record %d = %+v, want %+v", k, i, buf[i], recs[i])
+			}
+		}
+		if n, err := r.NextBatch(buf); n != 0 || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("k=%d: second NextBatch = %d, %v, want 0, ErrCorrupt", k, n, err)
+		}
 	}
 }
 
@@ -135,9 +169,9 @@ func TestFileReaderTruncatedGzip(t *testing.T) {
 	if err != nil {
 		return
 	}
-	var rec Record
+	buf := make([]Record, 1)
 	for {
-		if err := r.Next(&rec); err != nil {
+		if _, err := r.NextBatch(buf); err != nil {
 			if err == io.EOF {
 				t.Fatal("truncated gzip stream read to clean EOF")
 			}

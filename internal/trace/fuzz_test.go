@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"testing"
 )
 
@@ -41,16 +40,16 @@ func FuzzFileReader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var rec Record
+		buf := make([]Record, 3)
 		for {
 			// The stream is finite (every record consumes at least two input
 			// bytes), so this loop is bounded by len(data).
-			err := r.Next(&rec)
-			if err == io.EOF {
-				return
-			}
+			n, err := r.NextBatch(buf)
 			if err != nil {
-				return // corrupt record detected: fine
+				return // io.EOF, or a corrupt record detected: fine
+			}
+			if n == 0 {
+				t.Fatal("NextBatch returned no records and no error")
 			}
 		}
 	})

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkGeneratorFill measures the generator as the simulator consumes
-// it: trace.Fill into a 512-record buffer, on qmm-srv-01. One op is one
+// it: NextBatch into a 512-record buffer, on qmm-srv-01. One op is one
 // record.
 func BenchmarkGeneratorFill(b *testing.B) {
 	g := workloads.QMM()[0].NewReader()
@@ -17,7 +17,7 @@ func BenchmarkGeneratorFill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n += len(buf) {
-		if _, err := trace.Fill(g, buf[:min(len(buf), b.N-n)]); err != nil {
+		if _, err := g.NextBatch(buf[:min(len(buf), b.N-n)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -69,10 +70,8 @@ func streamDigest(p trace.ServerParams, n int) string {
 	raw := make([]byte, 0, 24*len(buf))
 	for n > 0 {
 		b := buf[:min(n, len(buf))]
-		for i := range b {
-			if err := g.Next(&b[i]); err != nil {
-				panic(err)
-			}
+		if k, err := g.NextBatch(b); err != nil || k != len(b) {
+			panic(fmt.Sprintf("NextBatch(%d) = %d, %v", len(b), k, err))
 		}
 		raw = raw[:0]
 		for _, r := range b {

@@ -138,7 +138,7 @@ type edge struct {
 }
 
 // Generator is an infinite synthetic instruction stream; it implements
-// BatchReader and never returns io.EOF.
+// Reader and never returns io.EOF.
 //
 // Every random choice is drawn from one math/rand stream seeded with
 // Params().Seed, through rngSource and zipfSampler, which reproduce
@@ -169,7 +169,7 @@ type Generator struct {
 	nextPhase uint64
 }
 
-var _ BatchReader = (*Generator)(nil)
+var _ Reader = (*Generator)(nil)
 
 // NewServerGenerator builds a generator for the given parameters. It panics
 // if the parameters are invalid; use Validate to check first.
@@ -505,46 +505,36 @@ func (g *Generator) dataAddr() arch.VAddr {
 	return (DataBaseVPN + arch.VPN(page)).Addr() + arch.VAddr(off)
 }
 
-// Next implements Reader; it never returns an error.
-func (g *Generator) Next(rec *Record) error {
-	g.next(rec)
-	return nil
-}
-
-// NextBatch implements BatchReader; it fills all of dst and never returns
-// an error.
+// NextBatch implements Reader; it fills all of dst and never returns an
+// error.
 func (g *Generator) NextBatch(dst []Record) (int, error) {
 	for i := range dst {
-		g.next(&dst[i])
-	}
-	return len(dst), nil
-}
-
-// next produces the next record.
-func (g *Generator) next(rec *Record) {
-	if g.nextPhase != 0 && g.emitted >= g.nextPhase {
-		g.phaseChange()
-		g.nextPhase += g.p.PhaseLen
-	}
-	rec.PC = (CodeBaseVPN + arch.VPN(g.curPage)).Addr() + arch.VAddr(g.curOff)
-	rec.Load, rec.Store = 0, 0
-	if g.rng.Float64() < g.p.LoadFrac {
-		rec.Load = g.dataAddr()
-	}
-	if g.rng.Float64() < g.p.StoreFrac {
-		if g.rng.Float64() < 0.3 {
-			// Some stores hit a small stack region.
-			rec.Store = StackVPN.Addr() + arch.VAddr(uint64(g.rng.Int63n(8*arch.PageSize))&^7)
-		} else {
-			rec.Store = g.dataAddr()
+		if g.nextPhase != 0 && g.emitted >= g.nextPhase {
+			g.phaseChange()
+			g.nextPhase += g.p.PhaseLen
+		}
+		rec := &dst[i]
+		rec.PC = (CodeBaseVPN + arch.VPN(g.curPage)).Addr() + arch.VAddr(g.curOff)
+		rec.Load, rec.Store = 0, 0
+		if g.rng.Float64() < g.p.LoadFrac {
+			rec.Load = g.dataAddr()
+		}
+		if g.rng.Float64() < g.p.StoreFrac {
+			if g.rng.Float64() < 0.3 {
+				// Some stores hit a small stack region.
+				rec.Store = StackVPN.Addr() + arch.VAddr(uint64(g.rng.Int63n(8*arch.PageSize))&^7)
+			} else {
+				rec.Store = g.dataAddr()
+			}
+		}
+		g.emitted++
+		g.curOff += 4
+		g.runLeft--
+		if g.runLeft <= 0 || g.curOff+4 > arch.PageSize {
+			g.transition()
 		}
 	}
-	g.emitted++
-	g.curOff += 4
-	g.runLeft--
-	if g.runLeft <= 0 || g.curOff+4 > arch.PageSize {
-		g.transition()
-	}
+	return len(dst), nil
 }
 
 // Emitted returns the number of records produced so far.

@@ -35,98 +35,54 @@ func (r *Record) HasLoad() bool { return r.Load != 0 }
 // HasStore reports whether the instruction writes memory.
 func (r *Record) HasStore() bool { return r.Store != 0 }
 
-// Reader produces a stream of instruction records. Next fills in rec and
-// returns io.EOF when the stream is exhausted; synthetic generators are
-// infinite and never return io.EOF.
+// Reader produces a stream of instruction records in batches. NextBatch
+// copies up to len(dst) records into a non-empty dst and returns how many;
+// it never mixes records with an error — a call returns n > 0 with a nil
+// error, or 0 with io.EOF (stream exhausted) or a real error. Callers must
+// tolerate short (n < len(dst)) non-final batches. Synthetic generators are
+// infinite: they fill all of dst and never return io.EOF.
 type Reader interface {
-	Next(rec *Record) error
-}
-
-// BatchReader is a Reader that can deliver many records per call, letting
-// hot consumers (the simulator's instruction loop) amortise the per-record
-// interface call. NextBatch copies up to len(dst) records into dst and
-// returns how many; it never mixes records with an error — a call returns
-// n > 0 with a nil error, or 0 with io.EOF (stream exhausted) or a real
-// error. Callers must tolerate short (n < len(dst)) non-final batches.
-type BatchReader interface {
-	Reader
 	NextBatch(dst []Record) (int, error)
 }
 
 // ErrCorrupt reports a malformed trace file.
 var ErrCorrupt = errors.New("trace: corrupt trace file")
 
-// Fill reads up to len(dst) records from r into dst, using the bulk
-// interface when r supports it and a per-record loop otherwise, so batching
-// consumers can buffer ahead of any Reader. Unlike NextBatch, Fill may
-// return n > 0 together with a non-nil error (a plain reader failing
-// mid-fill): callers must consume the n records before acting on the error.
-func Fill(r Reader, dst []Record) (int, error) {
-	if br, ok := r.(BatchReader); ok {
-		return br.NextBatch(dst)
-	}
-	for i := range dst {
-		if err := r.Next(&dst[i]); err != nil {
-			return i, err
-		}
-	}
-	return len(dst), nil
-}
-
-// Limit wraps r so that it yields at most n records. When r is a
-// BatchReader the returned Reader is one too, so batching survives the wrap.
-func Limit(r Reader, n uint64) Reader {
-	l := limitReader{r: r, left: n}
-	if br, ok := r.(BatchReader); ok {
-		return &limitBatchReader{limitReader: l, br: br}
-	}
-	return &l
-}
+// Limit wraps r so that it yields at most n records.
+func Limit(r Reader, n uint64) Reader { return &limitReader{r: r, left: n} }
 
 type limitReader struct {
 	r    Reader
 	left uint64
 }
 
-func (l *limitReader) Next(rec *Record) error {
-	if l.left == 0 {
-		return io.EOF
-	}
-	l.left--
-	return l.r.Next(rec)
-}
-
-type limitBatchReader struct {
-	limitReader
-	br BatchReader
-}
-
-func (l *limitBatchReader) NextBatch(dst []Record) (int, error) {
+func (l *limitReader) NextBatch(dst []Record) (int, error) {
 	if l.left == 0 {
 		return 0, io.EOF
 	}
 	if uint64(len(dst)) > l.left {
 		dst = dst[:l.left]
 	}
-	n, err := l.br.NextBatch(dst)
+	n, err := l.r.NextBatch(dst)
 	l.left -= uint64(n)
 	return n, err
 }
 
 // Slice materialises up to n records from r, primarily for tests and
-// offline analysis. It stops early at io.EOF.
+// offline analysis. It stops early at io.EOF; on any other error it returns
+// the records read before it.
 func Slice(r Reader, n int) ([]Record, error) {
-	out := make([]Record, 0, n)
-	var rec Record
-	for len(out) < n {
-		err := r.Next(&rec)
-		if err == io.EOF {
-			break
+	out := make([]Record, n)
+	got := 0
+	for got < n {
+		k, err := r.NextBatch(out[got:])
+		if k == 0 {
+			if err == io.EOF {
+				err = nil
+			}
+			return out[:got], err
 		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
+		got += k
 	}
 	return out, nil
 }
@@ -137,17 +93,7 @@ type SliceReader struct {
 	pos     int
 }
 
-// Next implements Reader.
-func (s *SliceReader) Next(rec *Record) error {
-	if s.pos >= len(s.Records) {
-		return io.EOF
-	}
-	*rec = s.Records[s.pos]
-	s.pos++
-	return nil
-}
-
-// NextBatch implements BatchReader.
+// NextBatch implements Reader.
 func (s *SliceReader) NextBatch(dst []Record) (int, error) {
 	if s.pos >= len(s.Records) {
 		return 0, io.EOF

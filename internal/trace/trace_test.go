@@ -53,9 +53,8 @@ func TestSliceAndLimit(t *testing.T) {
 	if err != nil || len(all) != 3 {
 		t.Fatalf("Slice after Reset = %+v, err %v", all, err)
 	}
-	var rec Record
-	if err := sr.Next(&rec); err != io.EOF {
-		t.Fatalf("exhausted SliceReader err = %v, want EOF", err)
+	if n, err := sr.NextBatch(make([]Record, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("exhausted SliceReader = %d, %v, want 0, EOF", n, err)
 	}
 }
 
@@ -170,8 +169,7 @@ func TestFileReaderRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec Record
-	if err := r.Next(&rec); err == nil {
+	if n, err := r.NextBatch(make([]Record, 1)); n != 0 || err == nil {
 		t.Error("corrupt record accepted")
 	}
 }

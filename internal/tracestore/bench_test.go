@@ -48,40 +48,22 @@ func benchGenRecords(b *testing.B) []trace.Record {
 // paid before corpora existed.
 func BenchmarkGeneratorRead(b *testing.B) {
 	w := workloads.QMM()[0]
+	buf := make([]trace.Record, 512)
 	b.SetBytes(benchRecords * recordMemBytes)
 	for i := 0; i < b.N; i++ {
-		r := w.NewReader()
-		var rec trace.Record
-		for n := 0; n < benchRecords; n++ {
-			if err := r.Next(&rec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkCorpusRead streams a materialised corpus record-at-a-time
-// through the pipelined reader.
-func BenchmarkCorpusRead(b *testing.B) {
-	c := benchCorpus(b)
-	b.SetBytes(benchRecords * recordMemBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := c.NewReader()
-		var rec trace.Record
+		r := trace.Limit(w.NewReader(), benchRecords)
 		for {
-			if err := r.Next(&rec); err == io.EOF {
+			if _, err := r.NextBatch(buf); err == io.EOF {
 				break
 			} else if err != nil {
 				b.Fatal(err)
 			}
 		}
-		r.Close()
 	}
 }
 
-// BenchmarkCorpusNextBatch streams the corpus through the batch path the
-// simulator hot loop uses.
+// BenchmarkCorpusNextBatch streams the corpus through NextBatch into a
+// 512-record buffer, as the simulator's run loop reads it.
 func BenchmarkCorpusNextBatch(b *testing.B) {
 	c := benchCorpus(b)
 	buf := make([]trace.Record, 512)

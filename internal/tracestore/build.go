@@ -92,27 +92,18 @@ func Build(w io.Writer, src trace.Reader, records uint64, opt BuildOptions) (Bui
 		seq := 0
 		var emitted uint64
 		for emitted < records {
-			n := uint64(chunkRecords)
-			if left := records - emitted; left < n {
-				n = left
+			n := int(min(uint64(chunkRecords), records-emitted))
+			recs, err := trace.Slice(src, n)
+			if len(recs) > 0 {
+				jobs <- encJob{seq: seq, recs: recs}
+				seq++
+				emitted += uint64(len(recs))
 			}
-			recs := make([]trace.Record, n)
-			got, err := fill(src, recs)
-			recs = recs[:got]
-			if err != nil && err != io.EOF {
-				if len(recs) > 0 {
-					jobs <- encJob{seq: seq, recs: recs}
-				}
+			if err != nil {
 				prodErr <- err
 				return
 			}
-			if len(recs) == 0 {
-				break
-			}
-			jobs <- encJob{seq: seq, recs: recs}
-			seq++
-			emitted += uint64(len(recs))
-			if err == io.EOF {
+			if len(recs) < n {
 				break // source ended early
 			}
 		}
@@ -164,22 +155,4 @@ func Build(w io.Writer, src trace.Reader, records uint64, opt BuildOptions) (Bui
 	info.Records = cw.total
 	info.Chunks = len(cw.chunks)
 	return info, nil
-}
-
-// fill reads records into dst through trace.Fill, so a BatchReader source
-// is drained in bulk, until dst is full or src fails. The error is io.EOF
-// when src ended first.
-func fill(src trace.Reader, dst []trace.Record) (int, error) {
-	n := 0
-	for n < len(dst) {
-		k, err := trace.Fill(src, dst[n:])
-		n += k
-		if err != nil {
-			return n, err
-		}
-		if k == 0 {
-			return n, io.EOF // a conforming BatchReader never does this
-		}
-	}
-	return n, nil
 }

@@ -45,10 +45,10 @@ func FuzzChunkReader(f *testing.F) {
 		}
 		r := c.NewReader()
 		defer r.Close()
-		var rec trace.Record
+		buf := make([]trace.Record, 97)
 		n := uint64(0)
 		for {
-			err := r.Next(&rec)
+			k, err := r.NextBatch(buf)
 			if err == io.EOF {
 				if n != c.Records() {
 					t.Fatalf("stream ended after %d records, index says %d", n, c.Records())
@@ -58,7 +58,7 @@ func FuzzChunkReader(f *testing.F) {
 			if err != nil {
 				return // corrupt input detected mid-stream: fine
 			}
-			n++
+			n += uint64(k)
 			if n > c.Records() {
 				t.Fatalf("stream produced more records than the index declares")
 			}

@@ -13,10 +13,8 @@ import (
 // decompression.
 const DefaultReadAhead = 3
 
-// Reader streams a corpus in record order. It implements trace.Reader and
-// trace.BatchReader; the batch path hands out runs of records straight from
-// the decoded chunk, amortising the per-record interface call the simulator
-// hot loop would otherwise pay.
+// Reader streams a corpus in record order. It implements trace.Reader,
+// handing out runs of records straight from the decoded chunk.
 //
 // A Reader pipelines: up to DefaultReadAhead chunk acquisitions run on
 // worker goroutines feeding an ordered queue, so decode (or cache lookup)
@@ -47,9 +45,8 @@ type fetched struct {
 }
 
 var (
-	_ trace.Reader      = (*Reader)(nil)
-	_ trace.BatchReader = (*Reader)(nil)
-	_ io.Closer         = (*Reader)(nil)
+	_ trace.Reader = (*Reader)(nil)
+	_ io.Closer    = (*Reader)(nil)
 )
 
 // NewReader returns a fresh reader positioned at the first record.
@@ -95,42 +92,21 @@ func (r *Reader) advance() error {
 	return nil
 }
 
-// ready ensures at least one unconsumed record is at hand.
-func (r *Reader) ready() error {
+// NextBatch implements trace.Reader: it copies up to len(dst) records and
+// returns how many, never mixing records with an error. One call spans at
+// most one chunk, so a full dst is the common case and the tail of a chunk
+// the rare short read.
+func (r *Reader) NextBatch(dst []trace.Record) (int, error) {
 	if r.err != nil {
-		return r.err
+		return 0, r.err
 	}
 	if r.closed {
-		return io.EOF
+		return 0, io.EOF
 	}
 	for r.pos >= len(r.cur) {
 		if err := r.advance(); err != nil {
-			return err
+			return 0, err
 		}
-	}
-	return nil
-}
-
-// Next implements trace.Reader.
-func (r *Reader) Next(rec *trace.Record) error {
-	if err := r.ready(); err != nil {
-		return err
-	}
-	*rec = r.cur[r.pos]
-	r.pos++
-	return nil
-}
-
-// NextBatch implements trace.BatchReader: it copies up to len(dst) records
-// and returns how many, never mixing records with an error. One call spans
-// at most one chunk, so a full dst is the common case and the tail of a
-// chunk the rare short read.
-func (r *Reader) NextBatch(dst []trace.Record) (int, error) {
-	if len(dst) == 0 {
-		return 0, nil
-	}
-	if err := r.ready(); err != nil {
-		return 0, err
 	}
 	n := copy(dst, r.cur[r.pos:])
 	r.pos += n

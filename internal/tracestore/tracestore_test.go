@@ -39,8 +39,8 @@ func buildContainer(t testing.TB, recs []trace.Record, chunkRecords int) []byte 
 }
 
 // TestBuildRoundTrip checks that a container whose record count does not
-// divide the chunk size (short last chunk) replays bit-identically through
-// both the record-at-a-time and batch read paths.
+// divide the chunk size (short last chunk) replays bit-identically in
+// one-record batches and in batches that straddle chunk boundaries.
 func TestBuildRoundTrip(t *testing.T) {
 	const chunk = 1024
 	recs := genRecords(t, 3*chunk+500)
@@ -65,17 +65,17 @@ func TestBuildRoundTrip(t *testing.T) {
 
 	r := c.NewReader()
 	defer r.Close()
-	var rec trace.Record
+	rec := make([]trace.Record, 1)
 	for i := range recs {
-		if err := r.Next(&rec); err != nil {
-			t.Fatalf("Next at record %d: %v", i, err)
+		if n, err := r.NextBatch(rec); n != 1 || err != nil {
+			t.Fatalf("NextBatch(1) at record %d = %d, %v", i, n, err)
 		}
-		if rec != recs[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, rec, recs[i])
+		if rec[0] != recs[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, rec[0], recs[i])
 		}
 	}
-	if err := r.Next(&rec); err != io.EOF {
-		t.Fatalf("Next past end = %v, want io.EOF", err)
+	if n, err := r.NextBatch(rec); n != 0 || err != io.EOF {
+		t.Fatalf("NextBatch past end = %d, %v, want 0, io.EOF", n, err)
 	}
 
 	br := c.NewReader()
@@ -138,9 +138,8 @@ func TestBuildEmpty(t *testing.T) {
 	}
 	r := c.NewReader()
 	defer r.Close()
-	var rec trace.Record
-	if err := r.Next(&rec); err != io.EOF {
-		t.Fatalf("Next on empty corpus = %v, want io.EOF", err)
+	if n, err := r.NextBatch(make([]trace.Record, 8)); n != 0 || err != io.EOF {
+		t.Fatalf("NextBatch on empty corpus = %d, %v, want 0, io.EOF", n, err)
 	}
 }
 
@@ -153,25 +152,23 @@ func TestReaderClose(t *testing.T) {
 		t.Fatalf("OpenBytes: %v", err)
 	}
 	r := c.NewReader()
-	var rec trace.Record
-	for i := 0; i < 10; i++ {
-		if err := r.Next(&rec); err != nil {
-			t.Fatalf("Next: %v", err)
-		}
+	buf := make([]trace.Record, 10)
+	if n, err := r.NextBatch(buf); n != len(buf) || err != nil {
+		t.Fatalf("NextBatch = %d, %v", n, err)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if err := r.Next(&rec); err != io.EOF {
-		t.Fatalf("Next after Close = %v, want io.EOF", err)
+	if n, err := r.NextBatch(buf); n != 0 || err != io.EOF {
+		t.Fatalf("NextBatch after Close = %d, %v, want 0, io.EOF", n, err)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
 }
 
-// TestLimitPreservesBatching checks trace.Limit keeps the corpus reader's
-// batch path and cuts the stream at exactly n records.
+// TestLimitPreservesBatching checks trace.Limit passes the corpus reader's
+// batches through and cuts the stream at exactly n records.
 func TestLimitPreservesBatching(t *testing.T) {
 	recs := genRecords(t, 1000)
 	c, err := OpenBytes(buildContainer(t, recs, 256))
@@ -181,14 +178,10 @@ func TestLimitPreservesBatching(t *testing.T) {
 	r := c.NewReader()
 	defer r.Close()
 	limited := trace.Limit(r, 600)
-	br, ok := limited.(trace.BatchReader)
-	if !ok {
-		t.Fatalf("Limit dropped the BatchReader interface")
-	}
 	got := 0
 	buf := make([]trace.Record, 128)
 	for {
-		n, err := br.NextBatch(buf)
+		n, err := limited.NextBatch(buf)
 		got += n
 		if err == io.EOF {
 			break
@@ -247,9 +240,9 @@ func TestCorruptContainer(t *testing.T) {
 	}
 	r := c.NewReader()
 	defer r.Close()
-	var rec trace.Record
+	rec := make([]trace.Record, 1)
 	for i := 0; ; i++ {
-		if err := r.Next(&rec); err != nil {
+		if _, err := r.NextBatch(rec); err != nil {
 			if err == io.EOF {
 				t.Fatalf("damaged frame read to EOF without error")
 			}

@@ -182,17 +182,19 @@ func TestMissStreamShape(t *testing.T) {
 	r := w.NewReader()
 	succ := stats.NewSuccessorStats()
 	freq := stats.NewPageFrequency()
-	var rec trace.Record
+	buf := make([]trace.Record, 4_000)
 	var prev arch.VPN
-	for i := 0; i < 2_000_000; i++ {
-		if err := r.Next(&rec); err != nil {
+	for i := 0; i < 2_000_000; i += len(buf) {
+		if _, err := r.NextBatch(buf); err != nil {
 			t.Fatal(err)
 		}
-		vpn := rec.PC.Page()
-		if vpn != prev {
-			succ.Observe(uint64(vpn))
-			freq.Observe(uint64(vpn))
-			prev = vpn
+		for _, rec := range buf {
+			vpn := rec.PC.Page()
+			if vpn != prev {
+				succ.Observe(uint64(vpn))
+				freq.Observe(uint64(vpn))
+				prev = vpn
+			}
 		}
 	}
 	// Successor fan-out is bounded: most pages have few successors.
@@ -276,9 +278,8 @@ func TestLoadSpecValid(t *testing.T) {
 		t.Fatalf("spec = %+v", spec)
 	}
 	// The spec must produce a working generator.
-	r := spec.NewReader()
-	var rec trace.Record
-	if err := r.Next(&rec); err != nil || rec.PC == 0 {
-		t.Fatalf("generator: rec=%+v err=%v", rec, err)
+	rec := make([]trace.Record, 1)
+	if n, err := spec.NewReader().NextBatch(rec); n != 1 || err != nil || rec[0].PC == 0 {
+		t.Fatalf("generator: rec=%+v n=%d err=%v", rec[0], n, err)
 	}
 }

@@ -111,7 +111,8 @@ const (
 type (
 	// Workload names a benchmark and its generator parameters.
 	Workload = workloads.Spec
-	// TraceReader produces instruction records.
+	// TraceReader produces instruction records in batches through its one
+	// method, NextBatch.
 	TraceReader = trace.Reader
 	// TraceRecord is one executed instruction.
 	TraceRecord = trace.Record

@@ -85,12 +85,12 @@ func TestPublicTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec morrigan.TraceRecord
-	for i := 0; i < 1000; i++ {
-		if err := gen.Next(&rec); err != nil {
-			t.Fatal(err)
-		}
-		if err := tw.Write(&rec); err != nil {
+	recs := make([]morrigan.TraceRecord, 1000)
+	if _, err := gen.NextBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		if err := tw.Write(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,12 +103,13 @@ func TestPublicTraceRoundTrip(t *testing.T) {
 	}
 	n := 0
 	for {
-		if err := r.Next(&rec); err == io.EOF {
+		k, err := r.NextBatch(recs[:7])
+		if err == io.EOF {
 			break
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		n++
+		n += k
 	}
 	if n != 1000 {
 		t.Fatalf("read %d records", n)
@@ -118,13 +119,14 @@ func TestPublicTraceRoundTrip(t *testing.T) {
 func TestPublicLimitTrace(t *testing.T) {
 	gen := morrigan.NewServerTrace(morrigan.QMMWorkloads()[0].Params)
 	lim := morrigan.LimitTrace(gen, 10)
-	var rec morrigan.TraceRecord
+	recs := make([]morrigan.TraceRecord, 4)
 	n := 0
-	for lim.Next(&rec) == nil {
-		n++
-		if n > 11 {
+	for n <= 11 {
+		k, err := lim.NextBatch(recs)
+		if err != nil {
 			break
 		}
+		n += k
 	}
 	if n != 10 {
 		t.Fatalf("limited trace yielded %d records", n)
