@@ -26,8 +26,9 @@ import (
 // warmup/measure boundary resets all statistics.
 //
 // Context switches keep firing at the configured cadence (flushing the
-// architecturally-tagged state exactly as timed execution would), clocked by
-// retired-plus-fast-forwarded instructions.
+// architecturally-tagged state exactly as timed execution would), on the
+// clock timed execution uses: every instruction since the last stats reset,
+// timed or functional.
 func (s *Simulator) FastForward(ctx context.Context, n uint64) error {
 	done, err := s.drive(ctx, n, false)
 	if err != nil {
@@ -41,10 +42,7 @@ func (s *Simulator) FastForward(ctx context.Context, n uint64) error {
 
 // ffStep warms one instruction's translations and cache lines without timing.
 func (s *Simulator) ffStep(tid arch.ThreadID, th *thread, rec *trace.Record) {
-	if s.cfg.ContextSwitchInterval > 0 && s.core.Retired()+s.fastForwarded >= s.nextSwitch {
-		s.contextSwitch()
-		s.nextSwitch = s.core.Retired() + s.fastForwarded + s.cfg.ContextSwitchInterval
-	}
+	s.tick()
 	pc := rec.PC + th.off
 	vpn := pc.Page()
 	newLine := pc.Line() != th.curLine || !th.haveVPN

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -535,6 +536,41 @@ func TestContextSwitchesFlushState(t *testing.T) {
 	}
 	if st.ISTLBMisses <= bst.ISTLBMisses {
 		t.Fatal("context switches should add TLB misses")
+	}
+}
+
+// TestFastForwardContextSwitchClock checks that FastForward and timed
+// execution switch on one clock, restarted by each stats reset: a
+// fast-forward right after a timed slice continues the slice's count
+// instead of the instructions fast-forwarded before it.
+func TestFastForwardContextSwitchClock(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	cfg.ContextSwitchInterval = 10_000
+	s := mustNew(t, cfg, []ThreadSpec{{Reader: testWorkload()}})
+	if err := s.FastForward(ctx, 50_000); err != nil {
+		t.Fatal(err)
+	}
+	// Switches at 10k, 20k, 30k and 40k; the boundary at 50k has no
+	// following instruction.
+	if got := s.Snapshot().ContextSwitches; got != 4 {
+		t.Fatalf("FastForward(50,000): %d context switches, want 4", got)
+	}
+	if _, err := s.RunContext(ctx, 0, 1_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FastForward(ctx, 5_000); err != nil {
+		t.Fatal(err)
+	}
+	// 6,000 instructions since the stats reset: no switch is due.
+	if got := s.Snapshot().ContextSwitches; got != 0 {
+		t.Fatalf("RunContext(0, 1,000) then FastForward(5,000): %d context switches, want 0", got)
+	}
+	if err := s.FastForward(ctx, 5_000); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Snapshot().ContextSwitches; got != 1 {
+		t.Fatalf("11,000 instructions after the reset: %d context switches, want 1", got)
 	}
 }
 
