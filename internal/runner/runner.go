@@ -222,16 +222,13 @@ type Options struct {
 	// and internal/fabric). Reuse layers still apply: only jobs missing
 	// from the journal, store and cache are delegated.
 	Remote RemoteExecutor
-	// Profiles, when non-nil, caches sampling profile artifacts on disk
-	// (typically <corpus>/profiles) so the functional profiling pass of a
-	// sampled job is paid once per workload and window. Without it, Run
-	// falls back to an in-memory per-campaign cache with the same sharing:
-	// the pass depends only on the workload and window, never the machine,
-	// so an N-config sweep pays it once per workload either way.
+	// Profiles caches sampling profile artifacts, typically on disk in
+	// <corpus>/profiles, so the functional profiling pass of a sampled job
+	// is paid once per workload and window. When it is nil, Run opens a
+	// memory-only store for the campaign with the same sharing: the pass
+	// depends only on the workload and window, never the machine, so an
+	// N-config sweep pays it once per workload either way.
 	Profiles *sampling.ProfileStore
-	// memProfiles is the fallback in-memory profile cache, installed by Run
-	// when sampled jobs are present and no disk store is attached.
-	memProfiles *sampling.MemProfileCache
 	// Spans, when non-nil, records a distributed-tracing span for every job
 	// lifecycle phase — reuse lookups, cache waits, machine build, corpus
 	// ingest, sampled fast-forward/settle, timed simulation, persistence —
@@ -308,12 +305,7 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, error) {
 		opt.Observer.CampaignStarted(len(jobs))
 	}
 	if opt.Profiles == nil {
-		for i := range jobs {
-			if jobs[i].Sampling != nil {
-				opt.memProfiles = sampling.NewMemProfileCache()
-				break
-			}
-		}
+		opt.Profiles, _ = sampling.OpenProfileStore("") // memory-only: cannot fail
 	}
 
 	var (

@@ -43,15 +43,19 @@ func ProfileKey(workloadHash string, skip, measure, interval uint64) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// ProfileStore caches profile artifacts on disk, one JSON file per key,
-// typically in a profiles/ directory beside the trace corpus. Builds are
-// single-flighted per key, so concurrent jobs over the same workload pay the
-// functional pass once.
+// ProfileStore caches profile artifacts for the life of the process and,
+// when opened with a directory (typically profiles/ beside the trace
+// corpus), on disk as one JSON file per key. The functional profiling pass
+// depends only on the workload and the sampling window, never on the machine
+// under test, so a sweep over N configurations pays it once per workload.
+// Builds are single-flighted per key and a failed build is not cached. The
+// returned *Profile is shared, so callers must not mutate it (Cluster copies
+// before normalising).
 type ProfileStore struct {
-	dir string
+	dir string // "" for a memory-only store
 
-	mu       sync.Mutex
-	inflight map[string]*profileCall
+	mu    sync.Mutex
+	calls map[string]*profileCall // in flight or built; failed calls are dropped
 
 	built  atomic.Uint64
 	reused atomic.Uint64
@@ -63,29 +67,29 @@ type profileCall struct {
 	err  error
 }
 
-// OpenProfileStore creates (if needed) and opens the artifact directory.
+// OpenProfileStore opens a profile store backed by dir, creating the
+// directory if needed. With dir "" the store keeps profiles in memory only.
 func OpenProfileStore(dir string) (*ProfileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sampling: profile store: %w", err)
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("sampling: profile store: %w", err)
+		}
 	}
-	return &ProfileStore{dir: dir, inflight: make(map[string]*profileCall)}, nil
+	return &ProfileStore{dir: dir, calls: make(map[string]*profileCall)}, nil
 }
-
-// Dir returns the store's directory.
-func (ps *ProfileStore) Dir() string { return ps.dir }
 
 func (ps *ProfileStore) path(key string) string {
 	return filepath.Join(ps.dir, key+".json")
 }
 
 // Profile returns the cached artifact for the window, building it with a
-// functional pass over a fresh reader from newReader when absent. The
-// returned profile is shared; callers must not mutate it.
+// functional pass over a fresh reader from newReader when it is neither in
+// memory nor on disk.
 func (ps *ProfileStore) Profile(workloadHash string, skip, measure, interval uint64, newReader func() (trace.Reader, error)) (*Profile, error) {
 	key := ProfileKey(workloadHash, skip, measure, interval)
 
 	ps.mu.Lock()
-	if call, ok := ps.inflight[key]; ok {
+	if call, ok := ps.calls[key]; ok {
 		ps.mu.Unlock()
 		<-call.done
 		if call.err == nil {
@@ -94,7 +98,7 @@ func (ps *ProfileStore) Profile(workloadHash string, skip, measure, interval uin
 		return call.prof, call.err
 	}
 	call := &profileCall{done: make(chan struct{})}
-	ps.inflight[key] = call
+	ps.calls[key] = call
 	ps.mu.Unlock()
 
 	call.prof, call.err = ps.load(key, workloadHash, skip, measure, interval)
@@ -109,16 +113,23 @@ func (ps *ProfileStore) Profile(workloadHash string, skip, measure, interval uin
 	}
 	close(call.done)
 
-	ps.mu.Lock()
-	delete(ps.inflight, key)
-	ps.mu.Unlock()
+	if call.err != nil {
+		// Drop the failed call so a transient reader error doesn't poison
+		// the key for the rest of the process.
+		ps.mu.Lock()
+		delete(ps.calls, key)
+		ps.mu.Unlock()
+	}
 	return call.prof, call.err
 }
 
-// load reads and validates a cached artifact; (nil, nil) means absent. A
+// load reads and validates an artifact on disk; (nil, nil) means absent. A
 // corrupt or mismatched artifact is treated as absent rather than fatal —
 // the build path overwrites it.
 func (ps *ProfileStore) load(key, workloadHash string, skip, measure, interval uint64) (*Profile, error) {
+	if ps.dir == "" {
+		return nil, nil
+	}
 	raw, err := os.ReadFile(ps.path(key))
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -146,8 +157,8 @@ func (ps *ProfileStore) build(key, workloadHash string, skip, measure, interval 
 	}
 	defer closeReader(r)
 	prof, err := BuildProfile(r, workloadHash, skip, measure, interval)
-	if err != nil {
-		return nil, err
+	if err != nil || ps.dir == "" {
+		return prof, err
 	}
 
 	raw, err := json.Marshal(prof)
@@ -185,6 +196,6 @@ func closeReader(r trace.Reader) {
 // Built returns how many profiles this store instance computed from scratch.
 func (ps *ProfileStore) Built() uint64 { return ps.built.Load() }
 
-// Reused returns how many profile requests were served from cache (on disk
-// or in flight).
+// Reused returns how many profile requests were served from memory, from
+// disk or from a build in flight.
 func (ps *ProfileStore) Reused() uint64 { return ps.reused.Load() }

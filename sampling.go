@@ -21,8 +21,9 @@ type (
 	SamplingOutcome = sampling.Outcome
 	// SamplingCI holds per-metric 95% confidence half-widths.
 	SamplingCI = sampling.CI
-	// SamplingProfileStore caches workload profiling artifacts on disk so
-	// repeated sampled campaigns skip the functional profiling pass.
+	// SamplingProfileStore caches workload profiling artifacts, in memory
+	// and optionally on disk, so sampled jobs over one workload and window
+	// share a single functional profiling pass.
 	SamplingProfileStore = sampling.ProfileStore
 )
 
@@ -31,8 +32,8 @@ type (
 func DefaultSamplingPolicy() SamplingPolicy { return sampling.DefaultPolicy() }
 
 // OpenSamplingProfileStore opens (creating if needed) a profile-artifact
-// store rooted at dir; pass it via CampaignOptions.Profiles (or
-// ExperimentOptions.Profiles).
+// store rooted at dir, or a memory-only store when dir is ""; pass it via
+// CampaignOptions.Profiles (or ExperimentOptions.Profiles).
 func OpenSamplingProfileStore(dir string) (*SamplingProfileStore, error) {
 	return sampling.OpenProfileStore(dir)
 }
@@ -53,7 +54,7 @@ func SamplingGauges(profiles *SamplingProfileStore) func() []obs.Gauge {
 		if profiles != nil {
 			gs = append(gs,
 				obs.Gauge{Name: "morrigan_sampling_profiles_built_total", Help: "Sampling profile artifacts built by this process.", Value: float64(profiles.Built())},
-				obs.Gauge{Name: "morrigan_sampling_profiles_reused_total", Help: "Sampling profile artifacts served from the on-disk store.", Value: float64(profiles.Reused())},
+				obs.Gauge{Name: "morrigan_sampling_profiles_reused_total", Help: "Sampling profile artifacts served from the profile store.", Value: float64(profiles.Reused())},
 			)
 		}
 		return gs
