@@ -27,15 +27,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"sort"
 	"strings"
-	"syscall"
-	"time"
 
 	"morrigan"
 	"morrigan/internal/profile"
@@ -63,8 +59,6 @@ func main() {
 		interval  = flag.Uint64("interval", 0, "telemetry sampling interval in instructions (0 = default 100000)")
 		events    = flag.Int("events", 0, "telemetry event-ring capacity (0 = default 4096, negative disables the event trace)")
 		serve     = flag.String("serve", "", "serve live observability HTTP on this address (e.g. :8080): /metrics, /campaign, /events, /healthz, /debug/pprof")
-		serveJobs = flag.String("serve-jobs", "", "run as a job-API daemon on this address instead of simulating: multi-tenant HTTP campaign API plus the -serve observability surface (honours -serve-token, -results, -corpus, -jobs, -fabric)")
-		serveTok  = flag.String("serve-token", "dev-token", "bearer token for the single 'default' tenant in -serve-jobs mode")
 		benchOut  = flag.String("bench", "", "write a BENCH_*.json throughput summary to this file ('-' for stdout)")
 		corpus    = flag.String("corpus", "", "feed workloads from materialised trace corpora in this directory (built on first use)")
 		corpusMB  = flag.Int64("corpus-cache-mb", 0, "decoded-chunk cache budget in MiB shared by all jobs (0 = default 512)")
@@ -113,11 +107,6 @@ func main() {
 		for _, n := range names {
 			fmt.Println(n)
 		}
-		return
-	}
-
-	if *serveJobs != "" {
-		serveJobsDaemon(*serveJobs, *serveTok, *results, *corpus, *fabricURL, *jobs, *corpusMB)
 		return
 	}
 
@@ -555,103 +544,4 @@ func printStats(label, pf string, st morrigan.Stats) {
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "morrigansim: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// serveJobsDaemon turns morrigansim into the simulation-as-a-service daemon:
-// a single-tenant job API (token auth, queue, quotas, result-store reuse)
-// sharing one listener with the observability surface. SIGTERM/SIGINT drains
-// the in-flight campaign and exits 0. For multi-tenant deployments use
-// cmd/service, which adds a tenants file and fabric delegation flags.
-func serveJobsDaemon(addr, token, results, corpus, fabricAddr string, jobs int, corpusMB int64) {
-	obsSrv := morrigan.NewObservabilityServer()
-	opt := morrigan.JobServiceOptions{
-		Tenants:  []morrigan.ServiceTenant{{Name: "default", Token: token, MaxQueuedJobs: 4096}},
-		Workers:  jobs,
-		Cache:    morrigan.NewCampaignResultCache(),
-		Observer: obsSrv,
-		Log:      os.Stderr,
-	}
-	if results != "" {
-		rs, err := morrigan.OpenResultStore(results)
-		if err != nil {
-			fatal("results: %v", err)
-		}
-		if rs.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "morrigansim: result store holds %d reusable results\n", rs.Len())
-		}
-		opt.Store = rs
-	}
-	var cs *morrigan.CorpusStore
-	if corpus != "" {
-		var err error
-		cs, err = morrigan.OpenCorpusStore(morrigan.CorpusOptions{Dir: corpus, CacheBytes: corpusMB << 20})
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer cs.Close()
-		opt.NewReader = func(w morrigan.Workload) (morrigan.TraceReader, error) {
-			c, err := cs.Materialize(w, 0)
-			if err != nil {
-				return nil, fmt.Errorf("corpus %s: %w", w.Name, err)
-			}
-			return c.NewReader(), nil
-		}
-	}
-	var coord *morrigan.FabricCoordinator
-	if fabricAddr != "" {
-		coord = morrigan.NewFabricCoordinator(morrigan.FabricCoordinatorOptions{Corpus: cs, Log: os.Stderr})
-		baddr, err := coord.Start(fabricAddr)
-		if err != nil {
-			fatal("fabric: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "morrigansim: fabric coordinator on http://%s\n", baddr)
-		opt.Remote = coord
-		obsSrv.AddGaugeSource(coord.Gauges)
-	}
-
-	svc, err := morrigan.NewJobService(opt)
-	if err != nil {
-		fatal("%v", err)
-	}
-	obsSrv.AddGaugeSource(svc.Gauges)
-
-	mux := http.NewServeMux()
-	mux.Handle("/api/v1/", svc.Handler())
-	mux.Handle("/", obsSrv.Handler())
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal("%v", err)
-	}
-	srv := &http.Server{Handler: mux}
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		_ = srv.Serve(lis)
-	}()
-	fmt.Fprintf(os.Stderr, "morrigansim: job API on http://%s/api/v1/campaigns (tenant 'default')\n", lis.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	stop()
-
-	fmt.Fprintln(os.Stderr, "morrigansim: draining (admission closed)")
-	dctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := svc.Drain(dctx); err != nil {
-		fmt.Fprintf(os.Stderr, "morrigansim: %v\n", err)
-	}
-	if coord != nil {
-		if err := coord.Drain(dctx); err != nil {
-			fmt.Fprintf(os.Stderr, "morrigansim: %v\n", err)
-		}
-		coord.Close()
-	}
-	svc.Close()
-	sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer scancel()
-	_ = srv.Shutdown(sctx)
-	<-served
-	_ = obsSrv.Close()
-	fmt.Fprintln(os.Stderr, "morrigansim: drained; exiting")
 }

@@ -8,7 +8,7 @@ import (
 // runner (see internal/service). A JobService accepts campaign submissions
 // per tenant token, queues them fair-share, executes them through the shared
 // reuse layers (cache, result store, optional fabric), and serves merged
-// results; cmd/service and `morrigansim -serve-jobs` expose it as a daemon.
+// results; cmd/service exposes it as a daemon.
 type (
 	// JobService is the job-serving API core.
 	JobService = service.Service
