@@ -1,11 +1,13 @@
 // Command benchdiff compares two campaign result files (the versioned JSON
-// written by morrigansim -results-json or cmd/experiments) and reports
-// per-workload IPC, speedup and wall-clock deltas. It exits 1 when any
-// workload's IPC regressed beyond the threshold (or, with -elapsed-threshold,
-// its wall time grew beyond that gate), making performance a CI-checkable
-// property:
+// written by the -json flag of morrigansim or experiments) and reports
+// per-workload IPC and speedup. It exits 1 when any workload's IPC dropped
+// beyond the threshold, making the modelled machine's performance a
+// CI-checkable property:
 //
 //	benchdiff -threshold 2 results_old.json results_new.json
+//
+// It compares modelled results only; bench/ measures the simulator's own
+// speed.
 //
 // Exit codes: 0 no regression, 1 regression detected, 2 usage or I/O error.
 package main
@@ -33,10 +35,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	threshold := fs.Float64("threshold", 2.0,
 		"flag a workload whose IPC dropped by more than this percent (0 disables)")
-	elapsedThreshold := fs.Float64("elapsed-threshold", 0,
-		"flag a workload whose wall time grew by more than this percent (0 disables; wall time is noisy)")
-	minThroughput := fs.Float64("min-throughput-ratio", 0,
-		"flag a workload whose simulation throughput (instr/sec) fell below this multiple of the old file's (0 disables; >1 demands a speedup)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -56,11 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	rep := benchdiff.Compare(oldC, newC, benchdiff.Options{
-		IPCThresholdPct:     *threshold,
-		ElapsedThresholdPct: *elapsedThreshold,
-		MinThroughputRatio:  *minThroughput,
-	})
+	rep := benchdiff.Compare(oldC, newC, benchdiff.Options{IPCThresholdPct: *threshold})
 	if err := rep.Write(stdout); err != nil {
 		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 2
@@ -79,5 +73,9 @@ func load(path string) (runner.Campaign, error) {
 		return runner.Campaign{}, err
 	}
 	defer f.Close()
-	return benchdiff.Load(f)
+	c, err := benchdiff.Load(f)
+	if err != nil {
+		return c, fmt.Errorf("%s: %w", path, err)
+	}
+	return c, nil
 }

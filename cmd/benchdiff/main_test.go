@@ -40,6 +40,7 @@ func TestRunExitCodes(t *testing.T) {
 	dropPath := filepath.Join(dir, "drop.json")
 	boundaryPath := filepath.Join(dir, "boundary.json")
 	badPath := filepath.Join(dir, "bad.json")
+	futurePath := filepath.Join(dir, "future.json")
 	writeCampaign(t, oldPath, map[string]float64{"a": 1.0})
 	writeCampaign(t, samePath, map[string]float64{"a": 1.0})
 	writeCampaign(t, dropPath, map[string]float64{"a": 0.9}) // -10%
@@ -48,6 +49,9 @@ func TestRunExitCodes(t *testing.T) {
 	// (regressed only beyond the threshold), so this must pass.
 	writeCampaign(t, boundaryPath, map[string]float64{"a": 0.96875})
 	if err := os.WriteFile(badPath, []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(futurePath, []byte(`{"schema":99,"records":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,6 +67,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"zero threshold disables", []string{"-threshold", "0", oldPath, dropPath}, 0, ""},
 		{"missing file", []string{oldPath, filepath.Join(dir, "nope.json")}, 2, "no such file"},
 		{"malformed json", []string{oldPath, badPath}, 2, "benchdiff:"},
+		{"unknown schema", []string{oldPath, futurePath}, 2, "future.json: schema 99"},
 		{"missing args", []string{oldPath}, 2, "usage:"},
 		{"bad flag", []string{"-threshold", "x", oldPath, samePath}, 2, ""},
 	}
@@ -73,6 +78,9 @@ func TestRunExitCodes(t *testing.T) {
 		}
 		if tc.want != "" && !strings.Contains(stderr.String(), tc.want) {
 			t.Errorf("%s: stderr %q missing %q", tc.name, stderr.String(), tc.want)
+		}
+		if strings.Contains(stderr.String(), "benchdiff: benchdiff:") {
+			t.Errorf("%s: stderr %q repeats the prefix", tc.name, stderr.String())
 		}
 	}
 }

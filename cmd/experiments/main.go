@@ -47,7 +47,6 @@ func main() {
 		csvOut    = flag.String("csv", "", "write per-simulation results as CSV to a file ('-' for stdout)")
 		telem     = flag.String("telemetry", "", "write per-simulation telemetry JSONL files into this directory")
 		serve     = flag.String("serve", "", "serve live observability HTTP on this address (e.g. :8080): /metrics, /campaign, /events, /healthz, /debug/pprof")
-		benchOut  = flag.String("bench", "", "write a BENCH_*.json throughput summary to this file ('-' for stdout)")
 		corpus    = flag.String("corpus", "", "feed workloads from materialised trace corpora in this directory (built on first use)")
 		corpusMB  = flag.Int64("corpus-cache-mb", 0, "decoded-chunk cache budget in MiB shared by all jobs (0 = default 512)")
 		journal   = flag.String("journal", "", "checkpoint completed simulations to this journal file")
@@ -106,7 +105,7 @@ func main() {
 		opt.Progress = os.Stderr
 	}
 	var rec *morrigan.CampaignRecorder
-	if *jsonOut != "" || *csvOut != "" || *benchOut != "" {
+	if *jsonOut != "" || *csvOut != "" {
 		rec = &morrigan.CampaignRecorder{}
 		opt.Record = rec
 	}
@@ -162,7 +161,7 @@ func main() {
 	// (machine, workload, scale) triples, so each distinct triple simulates
 	// exactly once and every later occurrence is served from the cache.
 	// Rendered tables are unaffected — cached stats are the original run's,
-	// bit for bit. The dedup count surfaces as reused_jobs in -bench output.
+	// bit for bit. Each served record carries reused "cache" in -json output.
 	opt.Cache = morrigan.NewCampaignResultCache()
 	if *journal != "" {
 		jn, err := morrigan.OpenCampaignJournal(*journal, *resume)
@@ -249,7 +248,7 @@ func main() {
 		start := time.Now()
 		tab, err := morrigan.RunExperiment(id, opt)
 		if err != nil {
-			emitRecords(rec, *jsonOut, *csvOut, *benchOut, store, tracer)
+			emitRecords(rec, *jsonOut, *csvOut)
 			writeTrace(*traceOut, tracer)
 			fatal("%s: %v", id, err)
 		}
@@ -259,7 +258,7 @@ func main() {
 		tab.Render(w)
 		fmt.Fprintf(os.Stderr, "%s finished in %s\n", id, time.Since(start).Round(time.Millisecond))
 	}
-	emitRecords(rec, *jsonOut, *csvOut, *benchOut, store, tracer)
+	emitRecords(rec, *jsonOut, *csvOut)
 	writeTrace(*traceOut, tracer)
 }
 
@@ -276,7 +275,7 @@ func writeTrace(path string, tracer *morrigan.TraceRecorder) {
 
 // emitRecords writes whatever the recorder has collected so far; on a partial
 // (failed or interrupted) campaign that is every completed simulation.
-func emitRecords(rec *morrigan.CampaignRecorder, jsonOut, csvOut, benchOut string, store *morrigan.CorpusStore, tracer *morrigan.TraceRecorder) {
+func emitRecords(rec *morrigan.CampaignRecorder, jsonOut, csvOut string) {
 	if rec == nil {
 		return
 	}
@@ -300,24 +299,6 @@ func emitRecords(rec *morrigan.CampaignRecorder, jsonOut, csvOut, benchOut strin
 	}
 	write(jsonOut, c.WriteJSON)
 	write(csvOut, c.WriteCSV)
-	if benchOut != "" {
-		b := morrigan.NewCampaignBench(c)
-		if tracer != nil {
-			b.Phases = morrigan.TraceBreakdown(tracer.Spans())
-		}
-		if store != nil {
-			cs := store.CacheStats()
-			b.TraceSupply = &morrigan.CampaignTraceSupply{
-				CorpusDir:      store.Dir(),
-				CacheGets:      cs.Gets,
-				CacheHits:      cs.Hits,
-				CacheDecodes:   cs.Decodes,
-				CacheEvictions: cs.Evictions,
-				ResidentBytes:  cs.ResidentBytes,
-			}
-		}
-		write(benchOut, b.WriteJSON)
-	}
 }
 
 func fatal(format string, args ...any) {

@@ -59,7 +59,6 @@ func main() {
 		interval  = flag.Uint64("interval", 0, "telemetry sampling interval in instructions (0 = default 100000)")
 		events    = flag.Int("events", 0, "telemetry event-ring capacity (0 = default 4096, negative disables the event trace)")
 		serve     = flag.String("serve", "", "serve live observability HTTP on this address (e.g. :8080): /metrics, /campaign, /events, /healthz, /debug/pprof")
-		benchOut  = flag.String("bench", "", "write a BENCH_*.json throughput summary to this file ('-' for stdout)")
 		corpus    = flag.String("corpus", "", "feed workloads from materialised trace corpora in this directory (built on first use)")
 		corpusMB  = flag.Int64("corpus-cache-mb", 0, "decoded-chunk cache budget in MiB shared by all jobs (0 = default 512)")
 		confIn    = flag.String("config", "", "load the machine spec from this JSON file (overrides the machine flags)")
@@ -322,7 +321,6 @@ func main() {
 	}
 	writeCampaign(*jsonOut, campaignResults, (*morrigan.Campaign).WriteJSON)
 	writeCampaign(*csvOut, campaignResults, (*morrigan.Campaign).WriteCSV)
-	writeBench(*benchOut, campaignResults, store, tracer)
 	if tracer != nil {
 		if err := morrigan.WriteTraceFile(*traceOut, tracer.Spans()); err != nil {
 			fatal("trace-out: %v", err)
@@ -332,45 +330,6 @@ func main() {
 	if err != nil {
 		flushProfiles()
 		os.Exit(1)
-	}
-}
-
-// writeBench stamps the campaign's throughput summary (the BENCH_*.json
-// trajectory artifact) to path ('-' for stdout); an empty path is a no-op.
-func writeBench(path string, results []morrigan.CampaignResult, store *morrigan.CorpusStore, tracer *morrigan.TraceRecorder) {
-	if path == "" {
-		return
-	}
-	c := morrigan.Campaign{Schema: morrigan.CampaignSchemaVersion}
-	for _, res := range results {
-		c.Records = append(c.Records, morrigan.NewCampaignRecord(res))
-	}
-	b := morrigan.NewCampaignBench(c)
-	if tracer != nil {
-		b.Phases = morrigan.TraceBreakdown(tracer.Spans())
-	}
-	if store != nil {
-		cs := store.CacheStats()
-		b.TraceSupply = &morrigan.CampaignTraceSupply{
-			CorpusDir:      store.Dir(),
-			CacheGets:      cs.Gets,
-			CacheHits:      cs.Hits,
-			CacheDecodes:   cs.Decodes,
-			CacheEvictions: cs.Evictions,
-			ResidentBytes:  cs.ResidentBytes,
-		}
-	}
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := b.WriteJSON(w); err != nil {
-		fatal("%v", err)
 	}
 }
 

@@ -8,7 +8,6 @@
 //
 //	tracegen -workload qmm-srv-07 -n 10000000 -o srv07.mgt.gz -compress
 //	tracegen -workload qmm-srv-07 -n 10000000 -corpus corpus/
-//	tracegen -workload qmm-srv-01 -n 2000000 -corpus corpus/ -bench BENCH_trace.json
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"morrigan"
@@ -33,14 +31,10 @@ func main() {
 		corpusDir = flag.String("corpus", "", "materialise into a corpus store directory instead of a flat trace file")
 		chunkRecs = flag.Int("chunk-records", 0, "records per corpus chunk (0 = default 65536)")
 		workers   = flag.Int("workers", 0, "parallel chunk encoders for corpus builds (0 = GOMAXPROCS)")
-		benchOut  = flag.String("bench", "", "measure generator-vs-corpus read throughput and write a BENCH_*.json summary ('-' for stdout; requires -corpus)")
 	)
 	flag.Parse()
 	if (*out == "") == (*corpusDir == "") {
 		fatal("exactly one of -o and -corpus is required")
-	}
-	if *benchOut != "" && *corpusDir == "" {
-		fatal("-bench requires -corpus")
 	}
 	var w morrigan.Workload
 	if *params != "" {
@@ -62,7 +56,7 @@ func main() {
 	}
 
 	if *corpusDir != "" {
-		buildCorpus(w, *n, *corpusDir, *chunkRecs, *workers, *benchOut)
+		buildCorpus(w, *n, *corpusDir, *chunkRecs, *workers)
 		return
 	}
 
@@ -101,9 +95,8 @@ func main() {
 		*n, w.Name, *out, float64(info.Size())/1e6, float64(info.Size())/float64(*n))
 }
 
-// buildCorpus materialises the workload into a corpus store and optionally
-// benchmarks reading it back against live generation.
-func buildCorpus(w morrigan.Workload, n uint64, dir string, chunkRecs, workers int, benchOut string) {
+// buildCorpus materialises the workload into a corpus store.
+func buildCorpus(w morrigan.Workload, n uint64, dir string, chunkRecs, workers int) {
 	store, err := morrigan.OpenCorpusStore(morrigan.CorpusOptions{
 		Dir:          dir,
 		ChunkRecords: chunkRecs,
@@ -130,91 +123,6 @@ func buildCorpus(w morrigan.Workload, n uint64, dir string, chunkRecs, workers i
 	fmt.Printf("materialised %d instructions of %s into %s (%d chunks of %d, %.1f MB, %.2f bytes/instr, %s)\n",
 		c.Records(), w.Name, filepath.Join(dir, entry.File), c.Chunks(), c.ChunkRecords(),
 		float64(size)/1e6, float64(size)/float64(c.Records()), elapsed.Round(time.Millisecond))
-
-	if benchOut != "" {
-		writeBench(benchOut, w, c, store)
-	}
-}
-
-// writeBench times three full passes over the corpus's record stream, each
-// read in batches — the live generator, a cold corpus read that pays the
-// one-time chunk decode, then the corpus reader against the now resident
-// cache — and emits a BENCH_*.json summary whose per-entry rate is records
-// (instructions) per second. The warm corpus entry is the artifact's
-// headline: it is the regime campaign jobs run in, where the shared chunk
-// cache has amortised decoding across jobs, and it must beat regenerating
-// the trace live. The cold entry records what the first reader of each
-// chunk pays.
-func writeBench(path string, w morrigan.Workload, c *morrigan.Corpus, store *morrigan.CorpusStore) {
-	records := c.Records()
-	b := morrigan.CampaignBench{
-		Schema:     morrigan.CampaignBenchSchemaVersion,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	add := func(key string, pass func() error) {
-		start := time.Now()
-		if err := pass(); err != nil {
-			fatal("bench %s: %v", key, err)
-		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		e := morrigan.CampaignBenchEntry{
-			Key:          key,
-			Instructions: records,
-			ElapsedMS:    ms,
-		}
-		if ms > 0 {
-			e.InstrPerSec = float64(records) / (ms / 1000)
-		}
-		b.Jobs++
-		b.TotalInstructions += records
-		b.TotalElapsedMS += ms
-		b.Entries = append(b.Entries, e)
-	}
-	drain := func(r morrigan.TraceReader) error {
-		buf := make([]morrigan.TraceRecord, 4096)
-		for {
-			if _, err := r.NextBatch(buf); err == io.EOF {
-				return nil
-			} else if err != nil {
-				return err
-			}
-		}
-	}
-	add("trace/generator/"+w.Name, func() error {
-		return drain(morrigan.LimitTrace(w.NewReader(), records))
-	})
-	readCorpus := func() error {
-		r := c.NewReader()
-		defer r.Close()
-		return drain(r)
-	}
-	add("trace/corpus-cold/"+w.Name, readCorpus)
-	add("trace/corpus/"+w.Name, readCorpus)
-	if b.TotalElapsedMS > 0 {
-		b.InstrPerSec = float64(b.TotalInstructions) / (b.TotalElapsedMS / 1000)
-	}
-	cs := store.CacheStats()
-	b.TraceSupply = &morrigan.CampaignTraceSupply{
-		CorpusDir:      store.Dir(),
-		CacheGets:      cs.Gets,
-		CacheHits:      cs.Hits,
-		CacheDecodes:   cs.Decodes,
-		CacheEvictions: cs.Evictions,
-		ResidentBytes:  cs.ResidentBytes,
-	}
-	var out io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := b.WriteJSON(out); err != nil {
-		fatal("%v", err)
-	}
 }
 
 func fatal(format string, args ...any) {

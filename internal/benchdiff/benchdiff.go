@@ -1,11 +1,10 @@
 // Package benchdiff compares two campaign result files (the versioned JSON
-// emitted by internal/runner) and reports per-workload performance deltas:
-// simulated IPC (did the modelled machine get slower?), speedup (new/old IPC),
-// wall-clock elapsed time and simulation throughput (did the simulator get
-// slower?). A configurable threshold turns deltas into regression verdicts,
-// making performance a machine-checkable property in CI and the BENCH_*
-// trajectory: cmd/benchdiff exits non-zero when any metric regresses beyond
-// its threshold.
+// emitted by internal/runner) and reports per-workload modelled-performance
+// deltas: simulated IPC (did the modelled machine get slower?) and speedup
+// (new/old IPC). A configurable threshold turns IPC drops into regression
+// verdicts, and cmd/benchdiff exits non-zero when any workload regresses
+// beyond it. Host speed is not compared here: bench/ measures it with
+// repeats and quartiles.
 package benchdiff
 
 import (
@@ -28,20 +27,8 @@ type Row struct {
 	Speedup float64
 	// IPCDeltaPct is the signed IPC change in percent (negative = slower).
 	IPCDeltaPct float64
-	// OldElapsedMS and NewElapsedMS are wall-clock job times.
-	OldElapsedMS, NewElapsedMS float64
-	// ElapsedDeltaPct is the signed elapsed change in percent (positive =
-	// the simulation got slower to run).
-	ElapsedDeltaPct float64
-	// OldInstrPerSec and NewInstrPerSec are simulation throughputs (zero in
-	// files written before throughput accounting existed).
-	OldInstrPerSec, NewInstrPerSec float64
-	// ThroughputRatio is NewInstrPerSec/OldInstrPerSec (zero when either
-	// file predates throughput accounting).
-	ThroughputRatio float64
-	// IPCRegressed, ElapsedRegressed and ThroughputRegressed mark threshold
-	// violations.
-	IPCRegressed, ElapsedRegressed, ThroughputRegressed bool
+	// IPCRegressed marks a threshold violation.
+	IPCRegressed bool
 }
 
 // Report is the full comparison.
@@ -55,12 +42,6 @@ type Report struct {
 	SkippedErrors []string
 	// GeoMeanSpeedup is the geometric-mean IPC speedup across Rows.
 	GeoMeanSpeedup float64
-	// GeoMeanThroughput is the geometric-mean simulation-throughput ratio
-	// across rows where both files recorded instr/sec (zero when none did).
-	GeoMeanThroughput float64
-	// IPCThresholdPct, ElapsedThresholdPct and MinThroughputRatio echo the
-	// comparison options.
-	IPCThresholdPct, ElapsedThresholdPct, MinThroughputRatio float64
 }
 
 // Options configures a comparison.
@@ -68,27 +49,19 @@ type Options struct {
 	// IPCThresholdPct flags a workload whose IPC dropped by more than this
 	// percentage. Zero disables IPC gating (any drop tolerated).
 	IPCThresholdPct float64
-	// ElapsedThresholdPct flags a workload whose wall-clock time grew by
-	// more than this percentage. Zero disables elapsed gating — wall time is
-	// machine-noise sensitive, so this gate is opt-in.
-	ElapsedThresholdPct float64
-	// MinThroughputRatio flags a workload whose simulation throughput
-	// (instr/sec) fell below this multiple of the old file's. 1.0 demands
-	// no slowdown; values above 1 demand a speedup (the batched-pipeline CI
-	// gate uses 3). Zero disables the gate. Rows where either file predates
-	// throughput accounting are never flagged.
-	MinThroughputRatio float64
 }
 
-// Load decodes a campaign results JSON file, rejecting unknown schemas.
+// Load decodes a campaign results JSON file. Every schema from 1 to
+// runner.SchemaVersion is accepted, since each version is a superset of the
+// one before; anything else is rejected.
 func Load(r io.Reader) (runner.Campaign, error) {
 	var c runner.Campaign
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&c); err != nil {
-		return c, fmt.Errorf("benchdiff: %w", err)
+		return c, fmt.Errorf("decoding campaign: %w", err)
 	}
-	if c.Schema != runner.SchemaVersion {
-		return c, fmt.Errorf("benchdiff: schema %d, want %d", c.Schema, runner.SchemaVersion)
+	if c.Schema < 1 || c.Schema > runner.SchemaVersion {
+		return c, fmt.Errorf("schema %d, want 1 to %d", c.Schema, runner.SchemaVersion)
 	}
 	return c, nil
 }
@@ -116,11 +89,7 @@ func index(c runner.Campaign) (map[string]runner.Record, []string) {
 // Compare matches the two campaigns' records by identity and derives the
 // per-workload deltas and regression verdicts.
 func Compare(oldC, newC runner.Campaign, opt Options) Report {
-	rep := Report{
-		IPCThresholdPct:     opt.IPCThresholdPct,
-		ElapsedThresholdPct: opt.ElapsedThresholdPct,
-		MinThroughputRatio:  opt.MinThroughputRatio,
-	}
+	var rep Report
 	oldIdx, oldKeys := index(oldC)
 	newIdx, newKeys := index(newC)
 
@@ -130,7 +99,6 @@ func Compare(oldC, newC runner.Campaign, opt Options) Report {
 		}
 	}
 	logSum, logN := 0.0, 0
-	tpSum, tpN := 0.0, 0
 	for _, k := range oldKeys {
 		o := oldIdx[k]
 		n, ok := newIdx[k]
@@ -142,37 +110,15 @@ func Compare(oldC, newC runner.Campaign, opt Options) Report {
 			rep.SkippedErrors = append(rep.SkippedErrors, k)
 			continue
 		}
-		row := Row{
-			Key:            k,
-			OldIPC:         o.Stats.IPC,
-			NewIPC:         n.Stats.IPC,
-			OldElapsedMS:   o.ElapsedMS,
-			NewElapsedMS:   n.ElapsedMS,
-			OldInstrPerSec: o.InstrPerSec,
-			NewInstrPerSec: n.InstrPerSec,
-		}
+		row := Row{Key: k, OldIPC: o.Stats.IPC, NewIPC: n.Stats.IPC}
 		if row.OldIPC > 0 {
 			row.Speedup = row.NewIPC / row.OldIPC
 			row.IPCDeltaPct = (row.Speedup - 1) * 100
 			logSum += math.Log(row.Speedup)
 			logN++
 		}
-		if row.OldElapsedMS > 0 {
-			row.ElapsedDeltaPct = (row.NewElapsedMS/row.OldElapsedMS - 1) * 100
-		}
-		if row.OldInstrPerSec > 0 && row.NewInstrPerSec > 0 {
-			row.ThroughputRatio = row.NewInstrPerSec / row.OldInstrPerSec
-			tpSum += math.Log(row.ThroughputRatio)
-			tpN++
-			if opt.MinThroughputRatio > 0 && row.ThroughputRatio < opt.MinThroughputRatio {
-				row.ThroughputRegressed = true
-			}
-		}
 		if opt.IPCThresholdPct > 0 && row.IPCDeltaPct < -opt.IPCThresholdPct {
 			row.IPCRegressed = true
-		}
-		if opt.ElapsedThresholdPct > 0 && row.ElapsedDeltaPct > opt.ElapsedThresholdPct {
-			row.ElapsedRegressed = true
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
@@ -183,17 +129,14 @@ func Compare(oldC, newC runner.Campaign, opt Options) Report {
 	if logN > 0 {
 		rep.GeoMeanSpeedup = math.Exp(logSum / float64(logN))
 	}
-	if tpN > 0 {
-		rep.GeoMeanThroughput = math.Exp(tpSum / float64(tpN))
-	}
 	return rep
 }
 
-// Regressions returns the keys that violated a threshold, worst IPC first.
+// Regressions returns the rows that violated the threshold, worst IPC first.
 func (r Report) Regressions() []Row {
 	var out []Row
 	for _, row := range r.Rows {
-		if row.IPCRegressed || row.ElapsedRegressed || row.ThroughputRegressed {
+		if row.IPCRegressed {
 			out = append(out, row)
 		}
 	}
@@ -201,7 +144,7 @@ func (r Report) Regressions() []Row {
 	return out
 }
 
-// Regressed reports whether any workload violated a threshold.
+// Regressed reports whether any workload violated the threshold.
 func (r Report) Regressed() bool { return len(r.Regressions()) > 0 }
 
 // Write renders the report as an aligned text table plus notes.
@@ -210,29 +153,11 @@ func (r Report) Write(w io.Writer) error {
 		fmt.Fprintln(w, "benchdiff: no comparable workloads")
 	}
 	rows := make([][]string, 0, len(r.Rows)+1)
-	rows = append(rows, []string{"workload", "ipc old", "ipc new", "delta", "speedup", "elapsed old", "elapsed new", "delta", "thpt", "verdict"})
+	rows = append(rows, []string{"workload", "ipc old", "ipc new", "delta", "speedup", "verdict"})
 	for _, row := range r.Rows {
 		verdict := "ok"
 		if row.IPCRegressed {
 			verdict = "IPC REGRESSED"
-		}
-		if row.ElapsedRegressed {
-			if verdict != "ok" {
-				verdict += "+ELAPSED"
-			} else {
-				verdict = "ELAPSED REGRESSED"
-			}
-		}
-		if row.ThroughputRegressed {
-			if verdict != "ok" {
-				verdict += "+THROUGHPUT"
-			} else {
-				verdict = "THROUGHPUT REGRESSED"
-			}
-		}
-		thpt := "n/a"
-		if row.ThroughputRatio > 0 {
-			thpt = fmt.Sprintf("%.2fx", row.ThroughputRatio)
 		}
 		rows = append(rows, []string{
 			row.Key,
@@ -240,10 +165,6 @@ func (r Report) Write(w io.Writer) error {
 			fmt.Sprintf("%.3f", row.NewIPC),
 			fmt.Sprintf("%+.2f%%", row.IPCDeltaPct),
 			fmt.Sprintf("%.3f", row.Speedup),
-			fmt.Sprintf("%.0fms", row.OldElapsedMS),
-			fmt.Sprintf("%.0fms", row.NewElapsedMS),
-			fmt.Sprintf("%+.1f%%", row.ElapsedDeltaPct),
-			thpt,
 			verdict,
 		})
 	}
@@ -266,9 +187,6 @@ func (r Report) Write(w io.Writer) error {
 	}
 	if len(r.Rows) > 0 {
 		fmt.Fprintf(w, "\ngeomean speedup %.4f over %d workloads\n", r.GeoMeanSpeedup, len(r.Rows))
-	}
-	if r.GeoMeanThroughput > 0 {
-		fmt.Fprintf(w, "geomean sim throughput %.2fx\n", r.GeoMeanThroughput)
 	}
 	for _, k := range r.OnlyOld {
 		fmt.Fprintf(w, "note: %s only in old file\n", k)

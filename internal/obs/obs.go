@@ -38,6 +38,11 @@ import (
 	"morrigan/internal/telemetry"
 )
 
+// statusSchemaVersion identifies the /campaign JSON document's schema. It is
+// the status document's own version, not the result-file schema
+// (runner.SchemaVersion): fields added to the document leave it unchanged.
+const statusSchemaVersion = 1
+
 // maxRecent bounds the finished-job history kept for /campaign; older entries
 // roll into the aggregate counters only.
 const maxRecent = 64
@@ -373,7 +378,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	st := campaignStatus{
-		Schema:                    runner.SchemaVersion,
+		Schema:                    statusSchemaVersion,
 		JobsTotal:                 s.totalJobs,
 		JobsDone:                  s.doneJobs,
 		JobsFailed:                s.failedJobs,

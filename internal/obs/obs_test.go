@@ -227,8 +227,8 @@ func TestCampaignStatus(t *testing.T) {
 	if err := json.Unmarshal(get(t, ts, "/campaign"), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Schema != runner.SchemaVersion {
-		t.Errorf("schema = %d, want %d", st.Schema, runner.SchemaVersion)
+	if st.Schema != statusSchemaVersion {
+		t.Errorf("schema = %d, want %d", st.Schema, statusSchemaVersion)
 	}
 	if st.JobsTotal != 3 || st.JobsDone != 3 || st.JobsFailed != 0 {
 		t.Errorf("totals = %d/%d/%d, want 3/3/0", st.JobsTotal, st.JobsDone, st.JobsFailed)

@@ -158,31 +158,3 @@ func TestRecordCarriesThroughput(t *testing.T) {
 		}
 	}
 }
-
-// TestNewBench checks campaign aggregation into the BENCH_*.json artifact.
-func TestNewBench(t *testing.T) {
-	c := Campaign{Schema: SchemaVersion, Records: []Record{
-		{Workload: "b", ElapsedMS: 500, SimInstructions: 1_000_000, InstrPerSec: 2_000_000, PeakHeapBytes: 100},
-		{Workload: "a", ElapsedMS: 500, SimInstructions: 3_000_000, InstrPerSec: 6_000_000, PeakHeapBytes: 300},
-		{Workload: "c", Error: "boom"},
-	}}
-	b := NewBench(c)
-	if b.Schema != BenchSchemaVersion || b.Jobs != 3 || b.Failed != 1 {
-		t.Errorf("bench header: %+v", b)
-	}
-	if b.TotalInstructions != 4_000_000 || b.TotalElapsedMS != 1000 {
-		t.Errorf("bench totals: instr %d elapsed %g", b.TotalInstructions, b.TotalElapsedMS)
-	}
-	if b.InstrPerSec != 4_000_000 {
-		t.Errorf("bench throughput: %g, want 4e6", b.InstrPerSec)
-	}
-	if b.PeakHeapBytes != 300 {
-		t.Errorf("bench peak heap: %d", b.PeakHeapBytes)
-	}
-	if len(b.Entries) != 3 || b.Entries[0].Key != "a" || b.Entries[1].Key != "b" || b.Entries[2].Key != "c" {
-		t.Errorf("bench entries out of order: %+v", b.Entries)
-	}
-	if !b.Entries[2].Failed {
-		t.Error("failed job not marked in entries")
-	}
-}

@@ -13,8 +13,8 @@ import (
 )
 
 // SchemaVersion identifies the campaign result schema. It is bumped whenever
-// the JSON/CSV shape changes incompatibly, so trajectory-tracking consumers
-// (e.g. BENCH_*.json) can detect mismatches instead of misreading fields.
+// the JSON/CSV shape changes, so consumers such as cmd/benchdiff can detect
+// mismatches instead of misreading fields.
 //
 // v2 added sampled-execution results: Record.Sampling in JSON and the
 // trailing ci95_* columns in CSV (empty for full runs). Consumers that read

@@ -15,7 +15,7 @@
 //     inside the simulator's instruction loop;
 //   - live progress and ETA reporting through a ProgressFunc;
 //   - a typed, schema-versioned result model with JSON and CSV emitters
-//     (results.go) suitable for benchmark trajectory tracking.
+//     (results.go) that cmd/benchdiff compares across runs.
 package runner
 
 import (
@@ -116,8 +116,7 @@ type Result struct {
 	// included (partial counts survive failed or cancelled jobs).
 	SimInstructions uint64
 	// InstrPerSec is the job's simulation throughput: SimInstructions per
-	// wall-clock second. It is the machine-comparable performance figure the
-	// BENCH_* trajectory tracks.
+	// wall-clock second.
 	InstrPerSec float64
 	// PeakHeapBytes is the larger of the process heap (runtime.MemStats
 	// HeapAlloc) observed at job start and end. The heap is shared by every

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"context"
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -120,21 +119,6 @@ func TestTraceSampledJob(t *testing.T) {
 	}
 	if !sawMeasure {
 		t.Errorf("no sample.measure span in sampled run (have %v)", allNames(rec))
-	}
-}
-
-// TestBenchPhases checks the per-phase breakdown survives into the bench
-// artifact's JSON.
-func TestBenchPhases(t *testing.T) {
-	c := Campaign{Schema: SchemaVersion, Records: []Record{{Workload: "a", ElapsedMS: 1}}}
-	b := NewBench(c)
-	b.Phases = []spans.PhaseTotal{{Phase: "simulate", Count: 2, TotalMS: 12.5}}
-	data, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"phases"`) || !strings.Contains(string(data), `"simulate"`) {
-		t.Errorf("bench JSON missing phases breakdown: %s", data)
 	}
 }
 

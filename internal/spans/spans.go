@@ -217,38 +217,3 @@ func (a *Active) End() {
 	a.span.DurNS = a.r.Now() - a.span.StartNS
 	a.r.Record(a.span)
 }
-
-// PhaseTotal is one row of a per-phase time breakdown.
-type PhaseTotal struct {
-	Phase   string  `json:"phase"`
-	Count   int     `json:"count"`
-	TotalMS float64 `json:"total_ms"`
-}
-
-// Breakdown aggregates spans into per-phase totals, sorted by descending
-// total time then name — the campaign-level answer to "where did the
-// wall-clock go".
-func Breakdown(ss []Span) []PhaseTotal {
-	if len(ss) == 0 {
-		return nil
-	}
-	idx := map[string]int{}
-	var out []PhaseTotal
-	for _, s := range ss {
-		i, ok := idx[s.Name]
-		if !ok {
-			i = len(out)
-			idx[s.Name] = i
-			out = append(out, PhaseTotal{Phase: s.Name})
-		}
-		out[i].Count++
-		out[i].TotalMS += float64(s.DurNS) / 1e6
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TotalMS != out[j].TotalMS {
-			return out[i].TotalMS > out[j].TotalMS
-		}
-		return out[i].Phase < out[j].Phase
-	})
-	return out
-}

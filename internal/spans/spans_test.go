@@ -135,27 +135,6 @@ func TestSpansDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestBreakdown(t *testing.T) {
-	ss := []Span{
-		{Name: "simulate", DurNS: 4e6},
-		{Name: "simulate", DurNS: 6e6},
-		{Name: "lookup.store", DurNS: 1e6},
-	}
-	b := Breakdown(ss)
-	if len(b) != 2 {
-		t.Fatalf("got %d phases, want 2", len(b))
-	}
-	if b[0].Phase != "simulate" || b[0].Count != 2 || b[0].TotalMS != 10 {
-		t.Fatalf("simulate row = %+v", b[0])
-	}
-	if b[1].Phase != "lookup.store" || b[1].Count != 1 || b[1].TotalMS != 1 {
-		t.Fatalf("lookup.store row = %+v", b[1])
-	}
-	if Breakdown(nil) != nil {
-		t.Fatal("Breakdown(nil) != nil")
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	in := []Span{
 		{TraceID: "t1", Name: "execute", Worker: "w1", StartNS: 1, DurNS: 2, Attrs: map[string]string{"a": "b"}},

@@ -116,9 +116,6 @@ func Open(opt Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's corpus directory.
-func (s *Store) Dir() string { return s.opt.Dir }
-
 // CacheStats snapshots the shared decoded-chunk cache accounting.
 func (s *Store) CacheStats() CacheStats { return s.cache.Stats() }
 

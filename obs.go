@@ -27,22 +27,3 @@ type (
 
 // NewObservabilityServer returns an unstarted observability server.
 func NewObservabilityServer() *ObservabilityServer { return obs.New() }
-
-// Campaign throughput summaries (the BENCH_*.json artifact; see
-// internal/runner).
-type (
-	// CampaignBench is a campaign's simulation-throughput summary.
-	CampaignBench = runner.Bench
-	// CampaignBenchEntry is one job's line in the summary.
-	CampaignBenchEntry = runner.BenchEntry
-	// CampaignTraceSupply records a campaign's corpus-backed trace supply
-	// (corpus directory plus shared decode-cache accounting) in the summary.
-	CampaignTraceSupply = runner.TraceSupply
-)
-
-// CampaignBenchSchemaVersion identifies the BENCH_*.json schema.
-const CampaignBenchSchemaVersion = runner.BenchSchemaVersion
-
-// NewCampaignBench summarises a campaign's records into the throughput
-// artifact written as BENCH_*.json.
-func NewCampaignBench(c Campaign) CampaignBench { return runner.NewBench(c) }

@@ -22,9 +22,6 @@ type (
 	TraceRecorder = spans.Recorder
 	// TraceSpan is one recorded lifecycle phase.
 	TraceSpan = spans.Span
-	// TracePhaseTotal is one row of a per-phase time breakdown (see
-	// TraceBreakdown and CampaignBench.Phases).
-	TracePhaseTotal = spans.PhaseTotal
 )
 
 // NewTraceRecorder returns an empty recorder whose clock starts now. The
@@ -38,7 +35,3 @@ func WriteTraceFile(path string, ss []TraceSpan) error { return spans.WriteFile(
 // WriteChromeTrace writes spans as a Chrome trace-event JSON document
 // (Perfetto- and chrome://tracing-loadable) to w.
 func WriteChromeTrace(w io.Writer, ss []TraceSpan) error { return spans.WriteChromeTrace(w, ss) }
-
-// TraceBreakdown aggregates spans into per-phase totals, largest first — the
-// breakdown CampaignBench.Phases carries in BENCH_*.json.
-func TraceBreakdown(ss []TraceSpan) []TracePhaseTotal { return spans.Breakdown(ss) }
