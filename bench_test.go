@@ -135,26 +135,3 @@ func BenchmarkMorriganOnMiss(b *testing.B) {
 		m.OnMiss(0, 0, vpn)
 	}
 }
-
-// BenchmarkTraceFileWrite measures trace serialisation throughput.
-func BenchmarkTraceFileWrite(b *testing.B) {
-	gen := morrigan.NewServerTrace(morrigan.QMMWorkloads()[0].Params)
-	recs := make([]morrigan.TraceRecord, 10000)
-	if _, err := gen.NextBatch(recs); err != nil {
-		b.Fatal(err)
-	}
-	w, err := morrigan.NewTraceWriter(discard{}, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Write(&recs[i%len(recs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

@@ -8,7 +8,7 @@
 //	morrigansim -workload qmm-srv-07 -prefetcher none -perfect
 //	morrigansim -workload qmm-srv-03 -smt qmm-srv-19 -prefetcher morrigan2x
 //	morrigansim -workload cassandra -icache fnlmma -icache-tlb-cost
-//	morrigansim -trace trace.mgt -prefetcher sp
+//	morrigansim -trace trace.mtc -prefetcher sp
 //	morrigansim -workload qmm-srv-01,qmm-srv-02,qmm-srv-03 -jobs 3 -json -
 //	morrigansim -workload qmm-srv-01 -corpus corpus/ -prefetcher morrigan
 //	morrigansim -prefetcher morrigan -dump-config spec.json
@@ -40,7 +40,7 @@ import (
 func main() {
 	var (
 		workload  = flag.String("workload", "qmm-srv-01", "comma-separated built-in workload names (see -list)")
-		traceFile = flag.String("trace", "", "trace file to execute instead of a built-in workload")
+		traceFile = flag.String("trace", "", "corpus container file (tracegen -o) to execute instead of a built-in workload")
 		smt       = flag.String("smt", "", "colocate this second workload on an SMT thread of every run")
 		pf        = flag.String("prefetcher", "none", "iSTLB prefetcher: none|sp|asp|dp|mp|mp2inf|mpinf|morrigan|morrigan2x|mono")
 		icachePf  = flag.String("icache", "nextline", "I-cache prefetcher: nextline|fnlmma|epi|djolt")
@@ -167,7 +167,16 @@ func main() {
 		defer store.Close()
 	}
 
-	cjobs := buildJobs(*workload, *traceFile, *smt, spec, *warmup, *measure)
+	var traceCorpus *morrigan.Corpus
+	if *traceFile != "" {
+		c, err := morrigan.OpenCorpusFile(*traceFile)
+		if err != nil {
+			fatal("%v", err)
+		}
+		defer c.Close()
+		traceCorpus = c
+	}
+	cjobs := buildJobs(*workload, *traceFile, traceCorpus, *smt, spec, *warmup, *measure)
 	var pol *morrigan.SamplingPolicy
 	if *sample {
 		p := morrigan.DefaultSamplingPolicy()
@@ -409,14 +418,14 @@ func specFromFlags(pf, icachePf string, perfect, p2tlb, asap, icacheTLB bool, st
 }
 
 // buildJobs enumerates one campaign job per requested workload (or one for
-// the trace file), optionally colocating the -smt workload on every run.
-// Workload jobs are pure data — machine spec plus workload specs — so they
-// carry the canonical identity -journal/-resume keys on (corpus feeding, when
-// enabled, rides CampaignOptions.NewReader). The -trace job streams records
-// from a file the workload vocabulary cannot describe, so it uses the
-// NewThreads escape hatch and always executes; its SMT sibling, if any, runs
-// from the live generator.
-func buildJobs(workload, traceFile, smt string, spec morrigan.MachineSpec, warmup, measure uint64) []morrigan.CampaignJob {
+// the -trace container, opened by the caller as tc), optionally colocating
+// the -smt workload on every run. Workload jobs are pure data — machine spec
+// plus workload specs — so they carry the canonical identity -journal/-resume
+// keys on (corpus feeding, when enabled, rides CampaignOptions.NewReader).
+// The -trace job streams records from a file the workload vocabulary cannot
+// describe, so it uses the NewThreads escape hatch and always executes; its
+// SMT sibling, if any, runs from the live generator.
+func buildJobs(workload, traceFile string, tc *morrigan.Corpus, smt string, spec morrigan.MachineSpec, warmup, measure uint64) []morrigan.CampaignJob {
 	var smtSpecs []morrigan.Workload
 	if smt != "" {
 		w, ok := morrigan.WorkloadByName(smt)
@@ -431,21 +440,13 @@ func buildJobs(workload, traceFile, smt string, spec morrigan.MachineSpec, warmu
 		}
 		return name
 	}
-	if traceFile != "" {
+	if tc != nil {
 		return []morrigan.CampaignJob{{
 			Workload: label(traceFile),
 			Machine:  spec,
 			Warmup:   warmup, Measure: measure,
 			NewThreads: func() []morrigan.ThreadSpec {
-				f, err := os.Open(traceFile)
-				if err != nil {
-					fatal("%v", err)
-				}
-				r, err := morrigan.NewTraceFileReader(f)
-				if err != nil {
-					fatal("%v", err)
-				}
-				out := []morrigan.ThreadSpec{{Reader: r}}
+				out := []morrigan.ThreadSpec{{Reader: tc.NewReader()}}
 				for i, w := range smtSpecs {
 					out = append(out, morrigan.ThreadSpec{Reader: w.NewReader(), VAOffset: morrigan.SMTVAOffset * morrigan.VAddr(i+1)})
 				}

@@ -1,19 +1,18 @@
-// Command tracegen materialises a synthetic workload into a replayable
-// artifact: either a flat trace file (-o) that morrigansim and any
-// trace.Reader consumer can execute, or a chunked corpus container inside a
-// corpus store directory (-corpus) that simulations stream with parallel
-// decode and cross-job chunk sharing.
+// Command tracegen materialises a synthetic workload into a corpus
+// container, the repository's one on-disk trace format: either a standalone
+// container file (-o) that morrigansim -trace replays and traceinfo
+// inspects, or a container inside a corpus store directory (-corpus) that
+// simulations stream with parallel decode and cross-job chunk sharing.
 //
 // Examples:
 //
-//	tracegen -workload qmm-srv-07 -n 10000000 -o srv07.mgt.gz -compress
+//	tracegen -workload qmm-srv-07 -n 10000000 -o srv07.mtc
 //	tracegen -workload qmm-srv-07 -n 10000000 -corpus corpus/
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -26,11 +25,10 @@ func main() {
 		workload  = flag.String("workload", "qmm-srv-01", "built-in workload name")
 		params    = flag.String("params", "", "JSON file defining a custom workload (overrides -workload)")
 		n         = flag.Uint64("n", 10_000_000, "instructions to emit")
-		out       = flag.String("o", "", "output trace file (this or -corpus is required)")
-		compress  = flag.Bool("compress", false, "gzip the trace (-o mode)")
-		corpusDir = flag.String("corpus", "", "materialise into a corpus store directory instead of a flat trace file")
-		chunkRecs = flag.Int("chunk-records", 0, "records per corpus chunk (0 = default 65536)")
-		workers   = flag.Int("workers", 0, "parallel chunk encoders for corpus builds (0 = GOMAXPROCS)")
+		out       = flag.String("o", "", "output container file (this or -corpus is required)")
+		corpusDir = flag.String("corpus", "", "materialise into a corpus store directory instead of a standalone container file")
+		chunkRecs = flag.Int("chunk-records", 0, "records per container chunk (0 = default 65536)")
+		workers   = flag.Int("workers", 0, "parallel chunk encoders (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if (*out == "") == (*corpusDir == "") {
@@ -57,42 +55,38 @@ func main() {
 
 	if *corpusDir != "" {
 		buildCorpus(w, *n, *corpusDir, *chunkRecs, *workers)
-		return
+	} else {
+		buildFile(w, *n, *out, *chunkRecs, *workers)
 	}
+}
 
-	f, err := os.Create(*out)
+// buildFile writes the workload's first n records to a standalone container
+// file; a failed build leaves no file behind.
+func buildFile(w morrigan.Workload, n uint64, path string, chunkRecs, workers int) {
+	f, err := os.Create(path)
 	if err != nil {
 		fatal("%v", err)
 	}
-	defer f.Close()
-	tw, err := morrigan.NewTraceWriter(f, *compress)
+	start := time.Now()
+	info, err := morrigan.BuildCorpus(f, w.NewReader(), n, morrigan.CorpusBuildOptions{
+		ChunkRecords: chunkRecs,
+		Workers:      workers,
+	})
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+		fatal("%v", err)
+	}
+	elapsed := time.Since(start)
+	fi, err := os.Stat(path)
 	if err != nil {
 		fatal("%v", err)
 	}
-	gen := morrigan.LimitTrace(w.NewReader(), *n)
-	buf := make([]morrigan.TraceRecord, 4096)
-	for {
-		k, err := gen.NextBatch(buf)
-		if err == io.EOF {
-			break
-		} else if err != nil {
-			fatal("generating: %v", err)
-		}
-		for i := range buf[:k] {
-			if err := tw.Write(&buf[i]); err != nil {
-				fatal("writing: %v", err)
-			}
-		}
-	}
-	if err := tw.Close(); err != nil {
-		fatal("%v", err)
-	}
-	info, err := f.Stat()
-	if err != nil {
-		fatal("%v", err)
-	}
-	fmt.Printf("wrote %d instructions of %s to %s (%.1f MB, %.2f bytes/instr)\n",
-		*n, w.Name, *out, float64(info.Size())/1e6, float64(info.Size())/float64(*n))
+	fmt.Printf("wrote %d instructions of %s to %s (%d chunks, %.1f MB, %.2f bytes/instr, %s)\n",
+		info.Records, w.Name, path, info.Chunks, float64(fi.Size())/1e6,
+		float64(fi.Size())/float64(info.Records), elapsed.Round(time.Millisecond))
 }
 
 // buildCorpus materialises the workload into a corpus store.

@@ -1,9 +1,10 @@
-// Command traceinfo inspects trace artifacts:
+// Command traceinfo inspects corpus containers, the repository's one
+// on-disk trace format:
 //
-//   - a flat trace file: instruction counts, memory operation mix, code/data
-//     footprints and page-transition statistics;
-//   - a corpus container (.mtc): geometry and a per-chunk table of record
-//     counts and compressed/uncompressed sizes;
+//   - a container file (.mtc, written by tracegen): geometry, a per-chunk
+//     table of record counts and compressed/uncompressed sizes, and the
+//     trace's instruction counts, memory operation mix, code/data footprints
+//     and page-transition statistics;
 //   - a corpus store directory: the manifest of materialised workloads.
 //
 // -verify additionally checks corpus contents against the index: every
@@ -11,7 +12,7 @@
 //
 // Examples:
 //
-//	traceinfo srv07.mgt.gz
+//	traceinfo srv07.mtc
 //	traceinfo corpus/qmm-srv-07-0a1b2c3d4e5f.mtc
 //	traceinfo -verify corpus/
 package main
@@ -33,7 +34,7 @@ func main() {
 	verify := flag.Bool("verify", false, "verify corpus chunk checksums, record counts and lengths against the index")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: traceinfo [-verify] <trace-file | corpus.mtc | corpus-dir>")
+		fmt.Fprintln(os.Stderr, "usage: traceinfo [-verify] <corpus.mtc | corpus-dir>")
 		os.Exit(2)
 	}
 	path := flag.Arg(0)
@@ -41,28 +42,11 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	switch {
-	case fi.IsDir():
+	if fi.IsDir() {
 		storeInfo(path, *verify)
-	case isCorpusContainer(path):
+	} else {
 		corpusInfo(path, *verify)
-	default:
-		traceFileInfo(path)
 	}
-}
-
-// isCorpusContainer sniffs the corpus container magic.
-func isCorpusContainer(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return false
-	}
-	return string(magic[:]) == "MTC1"
 }
 
 // storeInfo prints a corpus directory's manifest, optionally verifying every
@@ -139,6 +123,7 @@ func corpusInfo(path string, verify bool) {
 		ci := c.Chunk(i)
 		fmt.Printf("%6d %12d %12d %14d %12d\n", i, ci.Records, ci.CompressedLen, ci.UncompressedLen, ci.Offset)
 	}
+	traceStats(c)
 	if verify {
 		if err := c.Verify(); err != nil {
 			fatal("verify: %v", err)
@@ -147,17 +132,11 @@ func corpusInfo(path string, verify bool) {
 	}
 }
 
-// traceFileInfo prints the legacy flat-trace statistics.
-func traceFileInfo(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal("%v", err)
-	}
-	defer f.Close()
-	r, err := morrigan.NewTraceFileReader(f)
-	if err != nil {
-		fatal("%v", err)
-	}
+// traceStats streams the container and prints its instruction mix,
+// footprints and page-transition statistics.
+func traceStats(c *morrigan.Corpus) {
+	r := c.NewReader()
+	defer r.Close()
 
 	var (
 		buf         = make([]morrigan.TraceRecord, 4096)
@@ -198,7 +177,7 @@ func traceFileInfo(path string) {
 		}
 	}
 	if n == 0 {
-		fatal("empty trace")
+		return
 	}
 	fmt.Printf("instructions      %d\n", n)
 	fmt.Printf("loads             %d (%.1f%%)\n", loads, float64(loads)/float64(n)*100)

@@ -109,20 +109,6 @@ func NewCampaignResultCache() *CampaignResultCache { return runner.NewResultCach
 // form.
 func NewCampaignRecord(res CampaignResult) CampaignRecord { return runner.NewRecord(res) }
 
-// Trace file I/O.
-
-// NewTraceWriter serialises records to the binary trace format; Close must
-// be called to flush. Set compress for gzip output.
-func NewTraceWriter(w io.Writer, compress bool) (*trace.Writer, error) {
-	return trace.NewWriter(w, compress)
-}
-
-// NewTraceFileReader decodes a trace file written by NewTraceWriter,
-// transparently handling gzip.
-func NewTraceFileReader(r io.Reader) (TraceReader, error) {
-	return trace.NewFileReader(r)
-}
-
 // LimitTrace caps a trace at n records (it then reports io.EOF).
 func LimitTrace(r TraceReader, n uint64) TraceReader { return trace.Limit(r, n) }
 

@@ -1,38 +1,21 @@
 package morrigan_test
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"morrigan"
 )
 
-// TestFileTraceMatchesGenerator round-trips a workload through the trace
-// file format and checks that replaying the file produces exactly the same
-// simulation results as the live generator — an end-to-end check of the
+// TestFileTraceMatchesGenerator round-trips a workload through a corpus
+// container file and checks that replaying the file produces exactly the
+// same simulation results as the live generator — an end-to-end check of the
 // format, the reader, and simulator determinism.
 func TestFileTraceMatchesGenerator(t *testing.T) {
 	const n = 300_000
 	w := morrigan.QMMWorkloads()[8]
-
-	// Serialise n instructions.
-	var buf bytes.Buffer
-	tw, err := morrigan.NewTraceWriter(&buf, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := make([]morrigan.TraceRecord, n)
-	if _, err := w.NewReader().NextBatch(recs); err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if err := tw.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	c := buildCorpusFile(t, w.NewReader(), n)
 
 	run := func(r morrigan.TraceReader) morrigan.Stats {
 		cfg := morrigan.DefaultConfig()
@@ -48,15 +31,40 @@ func TestFileTraceMatchesGenerator(t *testing.T) {
 		return st
 	}
 
-	fromFile, err := morrigan.NewTraceFileReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fromFile := c.NewReader()
+	defer fromFile.Close()
 	a := run(morrigan.LimitTrace(w.NewReader(), n))
 	b := run(fromFile)
 	if a != b {
 		t.Fatalf("file-driven run differs from generator-driven run:\n%+v\n%+v", a, b)
 	}
+}
+
+// buildCorpusFile writes n records of src to a container file in a test
+// directory and opens it; the corpus is closed when the test ends.
+func buildCorpusFile(t *testing.T, src morrigan.TraceReader, n uint64) *morrigan.Corpus {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.mtc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := morrigan.BuildCorpus(f, src, n, morrigan.CorpusBuildOptions{})
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Records != n {
+		t.Fatalf("built %d records, want %d", info.Records, n)
+	}
+	c, err := morrigan.OpenCorpusFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 // TestKitchenSinkConfiguration exercises every optional feature at once:

@@ -83,7 +83,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.sample("morrigan_campaign_jobs_done_total", nil, float64(done))
 	p.metric("morrigan_campaign_jobs_failed_total", "Jobs that failed, panicked, timed out or were cancelled.", "counter")
 	p.sample("morrigan_campaign_jobs_failed_total", nil, float64(failed))
-	p.metric("morrigan_campaign_eta_seconds", "Estimated seconds until the campaign completes (0 until one job finishes).", "gauge")
+	p.metric("morrigan_campaign_eta_seconds", "Estimated seconds until the campaign completes (0 until one job has simulated).", "gauge")
 	p.sample("morrigan_campaign_eta_seconds", nil, eta)
 	p.metric("morrigan_campaign_elapsed_seconds", "Seconds since the server attached.", "counter")
 	p.sample("morrigan_campaign_elapsed_seconds", nil, elapsed)

@@ -86,11 +86,12 @@ type Server struct {
 	mu      sync.Mutex
 	started time.Time
 
-	totalJobs   int // scheduled across all campaigns so far
-	doneJobs    int
-	failedJobs  int
-	doneInstr   uint64  // executed instructions of finished jobs
-	doneElapsed float64 // summed wall seconds of finished jobs
+	totalJobs    int // scheduled across all campaigns so far
+	doneJobs     int
+	executedJobs int // finished jobs that simulated (Reused == "")
+	failedJobs   int
+	doneInstr    uint64  // executed instructions of finished jobs
+	doneElapsed  float64 // summed wall seconds of finished jobs
 
 	active map[int]*jobState // live jobs of the current campaign, by index
 	recent []finishedJob     // trailing window of finished jobs
@@ -220,6 +221,9 @@ func (s *Server) JobFinished(index int, res runner.Result) {
 	delete(s.active, index)
 	delete(s.flagged, index)
 	s.doneJobs++
+	if res.Reused == "" {
+		s.executedJobs++
+	}
 	if res.Err != nil {
 		s.failedJobs++
 	}
@@ -243,15 +247,10 @@ func (s *Server) JobFinished(index int, res runner.Result) {
 	s.hub.publish(event{Type: "job", Data: jobEvent{Job: f.Name, Index: index, State: state}})
 }
 
-// eta estimates remaining campaign seconds from the observed completion rate;
-// zero until one job has finished or when nothing remains. Callers hold s.mu.
+// eta estimates remaining campaign seconds with the runner's estimator.
+// Callers hold s.mu.
 func (s *Server) eta(now time.Time) float64 {
-	rem := s.totalJobs - s.doneJobs
-	if s.doneJobs == 0 || rem <= 0 {
-		return 0
-	}
-	elapsed := now.Sub(s.started).Seconds()
-	return elapsed / float64(s.doneJobs) * float64(rem)
+	return runner.ETA(now.Sub(s.started), s.executedJobs, s.totalJobs-s.doneJobs).Seconds()
 }
 
 // liveJob is one active job's scrape view.

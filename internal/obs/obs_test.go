@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"morrigan/internal/core"
 	"morrigan/internal/machine"
@@ -240,6 +242,27 @@ func TestCampaignStatus(t *testing.T) {
 		if !r.OK || r.InstrPerSec <= 0 {
 			t.Errorf("recent job %s: ok=%v instr_per_sec=%v", r.Name, r.OK, r.InstrPerSec)
 		}
+	}
+}
+
+// TestETACountsSimulatedJobs checks that reused jobs, which finish
+// instantly, do not enter the ETA's rate: of 10 jobs, 8 served from the
+// store and 1 simulated in the first 10 s leave 1 job and an ETA of 10 s,
+// the runner's estimate, not 10 s spread over 9 finished jobs.
+func TestETACountsSimulatedJobs(t *testing.T) {
+	srv := New()
+	srv.CampaignStarted(10)
+	for i := 0; i < 8; i++ {
+		srv.JobFinished(i, runner.Result{Job: runner.Job{Workload: fmt.Sprint("w", i)}, Reused: "store"})
+	}
+	srv.JobFinished(8, runner.Result{Job: runner.Job{Workload: "w8"}, Elapsed: 10 * time.Second})
+	now := time.Now()
+	srv.mu.Lock()
+	srv.started = now.Add(-10 * time.Second)
+	got := srv.eta(now)
+	srv.mu.Unlock()
+	if math.Abs(got-10) > 1e-9 {
+		t.Errorf("eta = %.3f s, want 10 s", got)
 	}
 }
 

@@ -90,17 +90,6 @@ func (p *progressTracker) done(res Result) {
 		return
 	}
 	elapsed := time.Since(p.started)
-	var eta time.Duration
-	if rem := p.total - p.completed; rem > 0 && p.executed > 0 {
-		// Completed-throughput estimate: remaining work at the observed
-		// aggregate rate. With W workers the rate already reflects W-way
-		// parallelism, so no worker-count correction is needed. Only jobs
-		// that actually simulated enter the denominator — journal/store/
-		// cache hits complete instantly, and counting them would divide the
-		// elapsed time across jobs that cost nothing, collapsing the ETA on
-		// warm-store campaigns where the remaining jobs still run in full.
-		eta = time.Duration(float64(elapsed) / float64(p.executed) * float64(rem))
-	}
 	p.fn(Event{
 		Done:     p.completed,
 		Total:    p.total,
@@ -109,6 +98,23 @@ func (p *progressTracker) done(res Result) {
 		Reused:   res.Reused,
 		Elapsed:  res.Elapsed,
 		Campaign: elapsed,
-		ETA:      eta,
+		ETA:      ETA(elapsed, p.executed, p.total-p.completed),
 	})
+}
+
+// ETA estimates a campaign's remaining time from the time elapsed since it
+// started, the jobs that finished by simulating and the jobs not yet
+// finished; it is zero until one job has simulated or when none remain.
+// The estimate is remaining work at the observed aggregate rate. With W
+// workers the rate already reflects W-way parallelism, so no worker-count
+// correction is needed. Only jobs that actually simulated enter the
+// denominator — journal/store/cache hits complete instantly, and counting
+// them would divide the elapsed time across jobs that cost nothing,
+// collapsing the ETA on warm-store campaigns where the remaining jobs still
+// run in full.
+func ETA(elapsed time.Duration, executed, remaining int) time.Duration {
+	if executed <= 0 || remaining <= 0 {
+		return 0
+	}
+	return time.Duration(float64(elapsed) / float64(executed) * float64(remaining))
 }

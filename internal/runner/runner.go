@@ -77,7 +77,8 @@ type Job struct {
 	// journaled or served from the result cache.
 	Instrument func(*sim.Config)
 	// NewThreads, when set, overrides Workloads as the instruction-stream
-	// source (e.g. trace files). Such jobs also forgo a data-only identity.
+	// source (e.g. a trace container file). Such jobs also forgo a data-only
+	// identity.
 	NewThreads func() []sim.ThreadSpec
 
 	// Sampling, when non-nil, switches the job to sampled execution:

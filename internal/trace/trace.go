@@ -1,6 +1,7 @@
 // Package trace defines the instruction trace representation consumed by the
-// simulator, a compact binary on-disk format with reader/writer support, and
-// deterministic synthetic workload generators.
+// simulator, the one-method Reader every trace source implements, and
+// deterministic synthetic workload generators. Traces on disk are corpus
+// containers (package tracestore), the repository's only trace file format.
 //
 // The paper evaluates on proprietary Qualcomm server traces (CVP-1/IPC-1).
 // Those are unobtainable, so this package synthesises instruction streams
@@ -11,7 +12,6 @@
 package trace
 
 import (
-	"errors"
 	"io"
 
 	"morrigan/internal/arch"
@@ -44,9 +44,6 @@ func (r *Record) HasStore() bool { return r.Store != 0 }
 type Reader interface {
 	NextBatch(dst []Record) (int, error)
 }
-
-// ErrCorrupt reports a malformed trace file.
-var ErrCorrupt = errors.New("trace: corrupt trace file")
 
 // Limit wraps r so that it yields at most n records.
 func Limit(r Reader, n uint64) Reader { return &limitReader{r: r, left: n} }

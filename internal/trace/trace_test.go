@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"bytes"
 	"io"
 	"testing"
-	"testing/quick"
 
 	"morrigan/internal/arch"
 )
@@ -66,111 +64,6 @@ func TestRecordHasOps(t *testing.T) {
 	r.Load, r.Store = 5, 6
 	if !r.HasLoad() || !r.HasStore() {
 		t.Error("record with ops misreported")
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		g := NewServerGenerator(testParams())
-		recs, err := Slice(g, 5000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, compress)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range recs {
-			if err := w.Write(&recs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewFileReader(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Slice(r, len(recs)+10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(recs) {
-			t.Fatalf("compress=%v: got %d records, want %d", compress, len(got), len(recs))
-		}
-		for i := range recs {
-			if got[i] != recs[i] {
-				t.Fatalf("compress=%v: record %d = %+v, want %+v", compress, i, got[i], recs[i])
-			}
-		}
-	}
-}
-
-func TestFileRoundTripQuick(t *testing.T) {
-	f := func(pcs []uint32, loads []uint32) bool {
-		recs := make([]Record, len(pcs))
-		for i, pc := range pcs {
-			recs[i].PC = arch.VAddr(pc) + 1 // avoid PC 0
-			if i < len(loads) && loads[i]%3 == 0 {
-				recs[i].Load = arch.VAddr(loads[i]) + 1
-			}
-			if i < len(loads) && loads[i]%5 == 0 {
-				recs[i].Store = arch.VAddr(loads[i]) + 2
-			}
-		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, false)
-		if err != nil {
-			return false
-		}
-		for i := range recs {
-			if w.Write(&recs[i]) != nil {
-				return false
-			}
-		}
-		if w.Close() != nil {
-			return false
-		}
-		r, err := NewFileReader(&buf)
-		if err != nil {
-			return false
-		}
-		got, err := Slice(r, len(recs)+1)
-		if err != nil || len(got) != len(recs) {
-			return false
-		}
-		for i := range recs {
-			if got[i] != recs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFileReaderRejectsGarbage(t *testing.T) {
-	if _, err := NewFileReader(bytes.NewReader([]byte("NOPE0"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := NewFileReader(bytes.NewReader(nil)); err == nil {
-		t.Error("empty file accepted")
-	}
-	// Valid header, corrupt record kind.
-	var buf bytes.Buffer
-	buf.WriteString(fileMagic)
-	buf.WriteByte(0)
-	buf.WriteByte(0xFF)
-	r, err := NewFileReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := r.NextBatch(make([]Record, 1)); n != 0 || err == nil {
-		t.Error("corrupt record accepted")
 	}
 }
 
@@ -316,13 +209,5 @@ func TestValidate(t *testing.T) {
 	p := testParams()
 	if err := p.Validate(); err != nil {
 		t.Errorf("valid params rejected: %v", err)
-	}
-}
-
-func TestZigZag(t *testing.T) {
-	for _, v := range []int64{0, 1, -1, 1 << 40, -(1 << 40), 1<<62 - 1, -(1 << 62)} {
-		if got := unzigzag(zigzag(v)); got != v {
-			t.Errorf("zigzag round trip of %d = %d", v, got)
-		}
 	}
 }

@@ -98,12 +98,17 @@ func (c *Corpus) Close() error {
 	return nil
 }
 
-// readFrame fetches chunk i's compressed frame.
+// readFrame fetches chunk i's compressed frame and checks it against the
+// index's CRC-32C: a damaged frame can still inflate to the indexed length
+// with wrong records, which only the checksum catches.
 func (c *Corpus) readFrame(i int) ([]byte, error) {
 	ci := c.chunks[i]
 	frame := make([]byte, ci.clen)
 	if _, err := c.src.ReadAt(frame, ci.offset); err != nil {
 		return nil, corrupt("chunk %d: reading frame: %v", i, err)
+	}
+	if got := crc32.Checksum(frame, castagnoli); got != ci.crc {
+		return nil, corrupt("chunk %d: frame checksum %#08x, index says %#08x", i, got, ci.crc)
 	}
 	return frame, nil
 }
@@ -147,21 +152,11 @@ func (c *Corpus) acquire(i int) ([]trace.Record, func(), error) {
 	return recs, func() {}, nil
 }
 
-// VerifyChunk checks chunk i's frame checksum and decodes it, verifying the
-// record count and uncompressed length against the index.
+// VerifyChunk decodes chunk i, which checks its frame checksum, record count
+// and uncompressed length against the index.
 func (c *Corpus) VerifyChunk(i int) error {
-	frame, err := c.readFrame(i)
-	if err != nil {
-		return err
-	}
-	ci := c.chunks[i]
-	if got := crc32.Checksum(frame, castagnoli); got != ci.crc {
-		return corrupt("chunk %d: frame checksum %#08x, index says %#08x", i, got, ci.crc)
-	}
-	if _, err := decodeChunk(frame, ci.records, ci.ulen, make([]trace.Record, 0, decodeCap(ci.records))); err != nil {
-		return fmt.Errorf("chunk %d: %w", i, err)
-	}
-	return nil
+	_, err := c.decode(i)
+	return err
 }
 
 // Verify checks every chunk against the index (see VerifyChunk).

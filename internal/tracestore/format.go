@@ -20,11 +20,11 @@
 //	header:  magic "MTC1" | uint8 version (1) | uint8 codec (1 = flate)
 //	         | uint32 LE chunkRecords
 //	chunks:  back-to-back flate frames; each frame holds exactly
-//	         chunkRecords records (the final frame may hold fewer),
-//	         encoded as in the trace file format — uint8 kind, zig-zag
-//	         varint PC delta, absolute varint load/store — with the PC
-//	         delta base reset to zero at every chunk boundary, so chunks
-//	         decode independently and in parallel
+//	         chunkRecords records (the final frame may hold fewer), each
+//	         record a uint8 kind (bit0 load, bit1 store), a zig-zag varint
+//	         PC delta and absolute varint load/store addresses, with the
+//	         PC delta base reset to zero at every chunk boundary, so
+//	         chunks decode independently and in parallel
 //	index:   magic "MTCI" | uvarint chunkCount | per chunk:
 //	         uvarint recordCount | uvarint compressedLen
 //	         | uvarint uncompressedLen | uint32 LE CRC-32C of the frame
@@ -33,7 +33,8 @@
 //
 // Chunk offsets are not stored: they accumulate from the header end in index
 // order and must land exactly on the index offset, which (with the two CRCs)
-// makes truncation and splices detectable. All decode paths return
+// makes truncation and splices detectable. The index CRC is checked on open
+// and a frame's CRC every time its chunk is read. All decode paths return
 // ErrCorrupt-wrapped errors on malformed input, never panic; FuzzChunkReader
 // holds that property.
 package tracestore
@@ -94,7 +95,8 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("tracestore: "+format+": %w", append(args, ErrCorrupt)...)
 }
 
-// zigzag and unzigzag mirror the trace file format's signed-delta encoding.
+// zigzag and unzigzag map a signed PC delta to an unsigned varint and back,
+// so short backward jumps encode as short as forward ones.
 func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

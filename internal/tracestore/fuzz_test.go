@@ -10,9 +10,10 @@ import (
 
 // FuzzChunkReader holds the package's decode-safety property: arbitrary
 // bytes fed to the container parser and chunk decoder must produce an error
-// or a valid stream — never a panic, unbounded allocation, or hang. Seeds
-// are round-trip containers of several geometries plus their truncations,
-// so the fuzzer starts inside the format.
+// or a valid stream — never a panic, unbounded allocation, or hang. A
+// stream read to io.EOF must also pass Verify: the reader checks what
+// Verify checks. Seeds are round-trip containers of several geometries plus
+// their truncations, so the fuzzer starts inside the format.
 func FuzzChunkReader(f *testing.F) {
 	recs := genRecords(f, 1500)
 	for _, geometry := range []struct{ n, chunk int }{
@@ -52,6 +53,9 @@ func FuzzChunkReader(f *testing.F) {
 			if err == io.EOF {
 				if n != c.Records() {
 					t.Fatalf("stream ended after %d records, index says %d", n, c.Records())
+				}
+				if err := c.Verify(); err != nil {
+					t.Fatalf("stream read to EOF, but Verify: %v", err)
 				}
 				return
 			}

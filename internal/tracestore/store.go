@@ -225,7 +225,7 @@ func (s *Store) adoptLocked(key, workload string, c *Corpus) {
 }
 
 // build materialises the workload into a new container and updates the
-// manifest, both atomically (write to temp, rename).
+// manifest, both atomically (write to temp, sync, rename).
 func (s *Store) build(spec workloads.Spec, key string, records uint64) (*Corpus, error) {
 	tmp, err := os.CreateTemp(s.opt.Dir, ".build-*")
 	if err != nil {
@@ -236,6 +236,9 @@ func (s *Store) build(spec workloads.Spec, key string, records uint64) (*Corpus,
 		ChunkRecords: s.opt.ChunkRecords,
 		Workers:      s.opt.BuildWorkers,
 	})
+	if err == nil {
+		err = tmp.Sync()
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
@@ -341,7 +344,8 @@ func (s *Store) ContainerPath(hash string) (string, bool) {
 	return filepath.Join(s.opt.Dir, e.File), true
 }
 
-// writeManifestLocked persists the manifest atomically. Caller holds s.mu.
+// writeManifestLocked persists the manifest atomically (write to temp, sync,
+// rename). Caller holds s.mu.
 func (s *Store) writeManifestLocked() error {
 	raw, err := json.MarshalIndent(s.manifest, "", "  ")
 	if err != nil {
@@ -353,6 +357,9 @@ func (s *Store) writeManifestLocked() error {
 	}
 	defer os.Remove(tmp.Name())
 	_, err = tmp.Write(append(raw, '\n'))
+	if err == nil {
+		err = tmp.Sync()
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"testing"
+	"testing/quick"
 
+	"morrigan/internal/arch"
 	"morrigan/internal/trace"
 	"morrigan/internal/workloads"
 )
@@ -101,6 +105,50 @@ func TestBuildRoundTrip(t *testing.T) {
 	for i := range recs {
 		if got[i] != recs[i] {
 			t.Fatalf("batch record %d = %+v, want %+v", i, got[i], recs[i])
+		}
+	}
+}
+
+// TestFileRoundTripQuick checks the record codec on arbitrary streams: any
+// PCs (so deltas of every size and sign, wrapping included), loads and
+// stores round-trip exactly through Build and OpenBytes. Chunks of 1 to 16
+// records make most streams cross the per-chunk delta reset.
+func TestFileRoundTripQuick(t *testing.T) {
+	f := func(pcs []uint64, addrs []uint32, chunk uint8) bool {
+		recs := make([]trace.Record, len(pcs))
+		for i, pc := range pcs {
+			recs[i].PC = arch.VAddr(pc)
+			if i < len(addrs) && addrs[i]%3 == 0 {
+				recs[i].Load = arch.VAddr(addrs[i]) + 1
+			}
+			if i < len(addrs) && addrs[i]%5 == 0 {
+				recs[i].Store = arch.VAddr(addrs[i]) + 2
+			}
+		}
+		var buf bytes.Buffer
+		opt := BuildOptions{ChunkRecords: int(chunk%16) + 1}
+		if _, err := Build(&buf, &trace.SliceReader{Records: recs}, uint64(len(recs)), opt); err != nil {
+			return false
+		}
+		c, err := OpenBytes(buf.Bytes())
+		if err != nil {
+			return false
+		}
+		r := c.NewReader()
+		defer r.Close()
+		got, err := trace.Slice(r, len(recs)+1)
+		return err == nil && slices.Equal(got, recs)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestZigZag checks the PC-delta mapping round-trips at its edges.
+func TestZigZag(t *testing.T) {
+	for _, v := range []int64{0, 1, -1, 1 << 40, -(1 << 40), 1<<62 - 1, -(1 << 62), math.MaxInt64, math.MinInt64} {
+		if got := unzigzag(zigzag(v)); got != v {
+			t.Errorf("zigzag round trip of %d = %d", v, got)
 		}
 	}
 }
@@ -254,5 +302,55 @@ func TestCorruptContainer(t *testing.T) {
 		if i > len(recs) {
 			t.Fatalf("read more records than the container holds")
 		}
+	}
+}
+
+// TestReaderChecksFrameCRC finds a single-bit flip in chunk 0's frame that
+// still inflates to the indexed length, record count included, but with
+// different records: damage only the frame checksum can catch. Reading the
+// damaged container must then fail with ErrCorrupt, not return the wrong
+// records.
+func TestReaderChecksFrameCRC(t *testing.T) {
+	recs := genRecords(t, 700)
+	data := buildContainer(t, recs, 256)
+	c, err := OpenBytes(data)
+	if err != nil {
+		t.Fatalf("OpenBytes: %v", err)
+	}
+	ci := c.chunks[0]
+	lo, hi := ci.offset, ci.offset+int64(ci.clen)
+	var damaged []byte
+search:
+	for off := lo; off < hi; off++ {
+		for bit := 0; bit < 8; bit++ {
+			cp := append([]byte(nil), data...)
+			cp[off] ^= 1 << bit
+			got, err := decodeChunk(cp[lo:hi], ci.records, ci.ulen, nil)
+			if err == nil && !slices.Equal(got, recs[:ci.records]) {
+				damaged = cp
+				break search
+			}
+		}
+	}
+	if damaged == nil {
+		t.Fatal("no single-bit flip of chunk 0 decodes to its indexed length with different records")
+	}
+
+	dc, err := OpenBytes(damaged)
+	if err != nil {
+		t.Fatalf("OpenBytes with damaged frame: %v", err)
+	}
+	r := dc.NewReader()
+	defer r.Close()
+	buf := make([]trace.Record, 97)
+	for read := 0; ; {
+		n, err := r.NextBatch(buf)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("NextBatch after %d records = %v, want ErrCorrupt", read, err)
+			}
+			break
+		}
+		read += n
 	}
 }

@@ -15,8 +15,8 @@
 //     walker, multi-level TLBs, a cache hierarchy and an interval-analysis
 //     core model with SMT colocation support;
 //   - a synthetic server-workload generator calibrated to the paper's
-//     measured iSTLB miss-stream properties, a binary trace file format,
-//     and the 45-workload "QMM-like" evaluation suite;
+//     measured iSTLB miss-stream properties, a chunked, checksummed trace
+//     container format, and the 45-workload "QMM-like" evaluation suite;
 //   - an experiment harness that regenerates every table and figure of the
 //     paper's evaluation (see DESIGN.md and EXPERIMENTS.md).
 //

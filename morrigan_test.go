@@ -3,6 +3,7 @@ package morrigan_test
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 
 	"morrigan"
@@ -79,40 +80,25 @@ func TestPublicWorkloadSuites(t *testing.T) {
 
 func TestPublicTraceRoundTrip(t *testing.T) {
 	params := morrigan.QMMWorkloads()[0].Params
-	gen := morrigan.NewServerTrace(params)
-	var buf bytes.Buffer
-	tw, err := morrigan.NewTraceWriter(&buf, true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := make([]morrigan.TraceRecord, 1000)
-	if _, err := gen.NextBatch(recs); err != nil {
+	if _, err := morrigan.NewServerTrace(params).NextBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	for i := range recs {
-		if err := tw.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := morrigan.NewTraceFileReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
+	r := buildCorpusFile(t, morrigan.NewServerTrace(params), uint64(len(recs))).NewReader()
+	defer r.Close()
+	got := make([]morrigan.TraceRecord, 0, len(recs))
+	batch := make([]morrigan.TraceRecord, 7)
 	for {
-		k, err := r.NextBatch(recs[:7])
+		k, err := r.NextBatch(batch)
 		if err == io.EOF {
 			break
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		n += k
+		got = append(got, batch[:k]...)
 	}
-	if n != 1000 {
-		t.Fatalf("read %d records", n)
+	if !slices.Equal(got, recs) {
+		t.Fatalf("read %d records back, want the %d written", len(got), len(recs))
 	}
 }
 
