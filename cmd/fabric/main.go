@@ -1,34 +1,28 @@
-// Command fabric runs the distributed campaign fabric: a coordinator that
-// enumerates experiment campaigns and hands jobs to workers over HTTP, and
-// the stateless workers that pull, simulate, and submit.
+// Command fabric runs the stateless workers of the distributed campaign
+// fabric, and compacts result stores.
 //
-// A distributed run is one `fabric serve` (or any experiments/morrigansim
-// invocation with -fabric) plus any number of `fabric work` processes — on
+// A distributed run is one `experiments -fabric ADDR` (or `morrigansim
+// -fabric ADDR`) coordinator plus any number of `fabric work` processes — on
 // the same machine or across machines sharing nothing but the coordinator
 // URL. Merged campaign output is byte-identical to a single-process run at
 // any worker count, and a worker killed mid-campaign costs only a lease
-// timeout before its job is reassigned.
+// timeout (experiments -lease-ttl) before its job is reassigned.
 //
 // Examples:
 //
-//	fabric serve -addr :9090 -exp fig9,fig15 -quick -out results.txt
-//	fabric serve -addr :9090 -exp all -results results/ -corpus corpus/
-//	fabric serve -addr :9090 -exp fig15 -quick -trace-out trace.json
 //	fabric work -coordinator http://127.0.0.1:9090
 //	fabric work -coordinator http://bighost:9090 -corpus worker-corpus/ -name w1
 //	fabric work -coordinator http://bighost:9090 -trace-out worker-trace.jsonl
+//	fabric gc -results results/ -dry-run
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
-	"time"
 
 	"morrigan"
 )
@@ -38,8 +32,6 @@ func main() {
 		usage()
 	}
 	switch os.Args[1] {
-	case "serve":
-		serve(os.Args[2:])
 	case "work":
 		work(os.Args[2:])
 	case "gc":
@@ -51,150 +43,11 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  fabric serve [flags]   run a coordinator driving an experiment campaign
-  fabric work  [flags]   run a worker pulling jobs from a coordinator
-  fabric gc    [flags]   compact a result store (drop records older stats schemas wrote)
+  fabric work [flags]   run a worker pulling jobs from a coordinator (experiments -fabric ADDR)
+  fabric gc   [flags]   compact a result store (drop records older stats schemas wrote)
 
-run 'fabric serve -h', 'fabric work -h' or 'fabric gc -h' for flags`)
+run 'fabric work -h' or 'fabric gc -h' for flags`)
 	os.Exit(2)
-}
-
-// serve drives an experiment campaign through an embedded coordinator: every
-// keyed job is delegated to fabric workers; the process itself simulates
-// nothing (beyond unkeyed instrumented jobs, which cannot cross the wire).
-func serve(args []string) {
-	fs := flag.NewFlagSet("fabric serve", flag.ExitOnError)
-	var (
-		addr     = fs.String("addr", ":9090", "coordinator listen address")
-		exp      = fs.String("exp", "all", "comma-separated experiment IDs, or 'all'")
-		quick    = fs.Bool("quick", false, "reduced scale (benchmark-sized)")
-		full     = fs.Bool("full", false, "paper-scale methodology (slow)")
-		warmup   = fs.Uint64("warmup", 0, "override warmup instructions per run")
-		measure  = fs.Uint64("measure", 0, "override measured instructions per run")
-		jobs     = fs.Int("jobs", 0, "concurrent job delegations (0 = GOMAXPROCS)")
-		out      = fs.String("out", "", "write rendered tables to a file instead of stdout")
-		jsonOut  = fs.String("json", "", "write per-simulation results as JSON to a file ('-' for stdout)")
-		results  = fs.String("results", "", "durable result store directory: reuse stored results across runs and persist new ones")
-		corpus   = fs.String("corpus", "", "trace corpus directory; also served to workers over /fabric/corpus")
-		leaseTTL = fs.Duration("lease-ttl", 0, "worker lease TTL before a silent worker's job is reassigned (0 = 30s)")
-		traceOut = fs.String("trace-out", "", "write the assembled campaign trace (coordinator + worker spans) to this file (.jsonl for JSONL, otherwise Chrome trace-event JSON)")
-		verbose  = fs.Bool("v", false, "print per-job progress and fabric events")
-	)
-	fs.Parse(args)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	opt := morrigan.DefaultExperimentOptions()
-	if *quick {
-		opt = morrigan.QuickExperimentOptions()
-	}
-	if *full {
-		opt = morrigan.FullExperimentOptions()
-	}
-	if *warmup > 0 {
-		opt.Warmup = *warmup
-	}
-	if *measure > 0 {
-		opt.Measure = *measure
-	}
-	opt.Jobs = *jobs
-	opt.Context = ctx
-	opt.Cache = morrigan.NewCampaignResultCache()
-	if *verbose {
-		opt.Progress = os.Stderr
-	}
-	var rec *morrigan.CampaignRecorder
-	if *jsonOut != "" {
-		rec = &morrigan.CampaignRecorder{}
-		opt.Record = rec
-	}
-	var tracer *morrigan.TraceRecorder
-	if *traceOut != "" {
-		tracer = morrigan.NewTraceRecorder("")
-		opt.Spans = tracer
-	}
-
-	var cs *morrigan.CorpusStore
-	if *corpus != "" {
-		var err error
-		cs, err = morrigan.OpenCorpusStore(morrigan.CorpusOptions{Dir: *corpus})
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer cs.Close()
-		opt.Corpus = cs
-	}
-	if *results != "" {
-		rs, err := morrigan.OpenResultStore(*results)
-		if err != nil {
-			fatal("results: %v", err)
-		}
-		if rs.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "fabric: result store holds %d reusable results\n", rs.Len())
-		}
-		opt.Store = rs
-	}
-
-	copt := morrigan.FabricCoordinatorOptions{Corpus: cs, LeaseTTL: *leaseTTL, Spans: tracer}
-	if *verbose {
-		copt.Log = os.Stderr
-	}
-	coord := morrigan.NewFabricCoordinator(copt)
-	bound, err := coord.Start(*addr)
-	if err != nil {
-		fatal("%v", err)
-	}
-	defer coord.Close()
-	fmt.Fprintf(os.Stderr, "fabric: coordinator on http://%s — start workers with: fabric work -coordinator http://%s\n", bound, bound)
-	opt.Remote = coord
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		w = f
-	}
-
-	ids := morrigan.ExperimentIDs()
-	if *exp != "all" {
-		ids = strings.Split(*exp, ",")
-	}
-	fmt.Fprintf(w, "Morrigan reproduction experiments (warmup %d, measure %d instructions per run)\n\n",
-		opt.Warmup, opt.Measure)
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		start := time.Now()
-		tab, err := morrigan.RunExperiment(id, opt)
-		if err != nil {
-			if ctx.Err() != nil {
-				// Interrupted, not failed: stop leasing, let outstanding
-				// worker leases resolve, flush everything collected so far,
-				// and exit clean so supervisors don't see a crash.
-				stop()
-				fmt.Fprintln(os.Stderr, "fabric: interrupted; draining outstanding leases")
-				dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				if derr := coord.Drain(dctx); derr != nil {
-					fmt.Fprintf(os.Stderr, "fabric: %v\n", derr)
-				}
-				cancel()
-				emitJSON(rec, *jsonOut)
-				writeTrace(*traceOut, tracer)
-				fmt.Fprintln(os.Stderr, "fabric: drained; exiting")
-				return
-			}
-			emitJSON(rec, *jsonOut)
-			writeTrace(*traceOut, tracer)
-			fatal("%s: %v", id, err)
-		}
-		tab.Render(w)
-		fmt.Fprintf(os.Stderr, "%s finished in %s\n", id, time.Since(start).Round(time.Millisecond))
-	}
-	emitJSON(rec, *jsonOut)
-	writeTrace(*traceOut, tracer)
 }
 
 // work runs one worker until interrupted or until the coordinator goes away.
@@ -294,27 +147,6 @@ func writeTrace(path string, tracer *morrigan.TraceRecorder) {
 		fatal("trace-out: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "fabric: wrote %d trace spans to %s\n", tracer.Len(), path)
-}
-
-// emitJSON writes whatever the recorder collected; on a failed campaign that
-// is every completed simulation.
-func emitJSON(rec *morrigan.CampaignRecorder, path string) {
-	if rec == nil || path == "" {
-		return
-	}
-	c := rec.Campaign()
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := c.WriteJSON(w); err != nil {
-		fatal("%v", err)
-	}
 }
 
 func fatal(format string, args ...any) {

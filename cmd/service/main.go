@@ -42,7 +42,7 @@ func main() {
 		tenants  = flag.String("tenants", "", "JSON file declaring tenants (array of {name, token, max_queued_jobs, max_instructions})")
 		token    = flag.String("token", "", "convenience single-tenant mode: one tenant 'default' with this token and a 4096-job quota")
 		results  = flag.String("results", "", "durable result store directory: repeat submissions are served without simulating")
-		corpus   = flag.String("corpus", "", "trace corpus directory; feeds simulations from materialised containers")
+		corpus   = flag.String("corpus", "", "trace corpus directory: feed each campaign's simulations from materialised containers of its warmup+measure (built on first use)")
 		fabric   = flag.String("fabric", "", "serve a fabric coordinator on this address and delegate jobs to workers")
 		jobs     = flag.Int("jobs", 0, "concurrent simulations per campaign (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "max queued campaigns across all tenants (0 = 64)")
@@ -84,13 +84,7 @@ func main() {
 			fatal("%v", err)
 		}
 		defer cs.Close()
-		opt.NewReader = func(w morrigan.Workload) (morrigan.TraceReader, error) {
-			c, err := cs.Materialize(w, 0)
-			if err != nil {
-				return nil, fmt.Errorf("corpus %s: %w", w.Name, err)
-			}
-			return c.NewReader(), nil
-		}
+		opt.Corpus = cs
 	}
 	var coord *morrigan.FabricCoordinator
 	if *fabric != "" {

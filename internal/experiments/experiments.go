@@ -29,7 +29,6 @@ import (
 	"morrigan/internal/sampling"
 	"morrigan/internal/sim"
 	"morrigan/internal/spans"
-	"morrigan/internal/trace"
 	"morrigan/internal/tracestore"
 	"morrigan/internal/workloads"
 )
@@ -236,13 +235,7 @@ func (o Options) campaign(experiment string, jobs []simJob) ([]sim.Stats, error)
 		Spans:     o.Spans,
 	}
 	if o.Corpus != nil {
-		ropt.NewReader = func(w workloads.Spec) (trace.Reader, error) {
-			c, err := o.Corpus.Materialize(w, o.Warmup+o.Measure)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: materialising corpus for %s: %w", w.Name, err)
-			}
-			return c.NewReader(), nil
-		}
+		ropt.NewReader = o.Corpus.Readers(o.Warmup + o.Measure)
 	}
 	results, err := runner.Run(o.Context, rjobs, ropt)
 	if o.Record != nil {

@@ -610,6 +610,14 @@ func execute(ctx context.Context, i int, j Job, opt Options, trace string) (res 
 		res.Err = fmt.Errorf("runner: %s: %w", j.Name(), err)
 		return res
 	}
+	// A workload-described job's key promises Measure instructions; a
+	// stream that ended early (a short corpus container, say) must fail
+	// rather than be journaled, stored or cached under that key. NewThreads
+	// jobs are unkeyed, and a finite trace file ends their run by design.
+	if j.NewThreads == nil && st.Instructions < j.Measure {
+		res.Err = fmt.Errorf("runner: %s: trace ended after %d of %d measured instructions", j.Name(), st.Instructions, j.Measure)
+		return res
+	}
 	res.Stats = st
 	return res
 }

@@ -7,14 +7,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"morrigan/internal/core"
 	"morrigan/internal/machine"
 	"morrigan/internal/sim"
+	"morrigan/internal/trace"
 	"morrigan/internal/workloads"
 )
 
@@ -247,5 +250,61 @@ func TestCampaignCSV(t *testing.T) {
 	}
 	if rows[2][6] == "" { // error column of the failed job
 		t.Error("failed job's error column is empty")
+	}
+}
+
+// mapStore is an in-memory ResultStore.
+type mapStore struct {
+	mu sync.Mutex
+	m  map[string]Stored
+}
+
+func (s *mapStore) Lookup(key string) (Stored, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, ok := s.m[key]
+	return st, ok
+}
+
+func (s *mapStore) Put(key string, res Result) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[key] = Stored{Stats: res.Stats, Sampling: res.Sampling}
+	return nil
+}
+
+// TestShortStreamFailsUnstored: a workload-described job whose stream ends
+// before Measure instructions fails, and no reuse layer keeps its result
+// under the key that promises the full window.
+func TestShortStreamFailsUnstored(t *testing.T) {
+	job := testJobs(1)[0]
+	recs, err := trace.Slice(job.Workloads[0].NewReader(), 1_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jn, err := OpenJournal(filepath.Join(t.TempDir(), "run.journal"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.Close()
+	store := &mapStore{m: map[string]Stored{}}
+	cache := NewResultCache()
+	results, err := Run(context.Background(), []Job{job}, Options{
+		Journal: jn,
+		Store:   store,
+		Cache:   cache,
+		NewReader: func(workloads.Spec) (trace.Reader, error) {
+			return &trace.SliceReader{Records: recs}, nil
+		},
+	})
+	want := fmt.Sprintf("trace ended after 0 of %d measured instructions", job.Measure)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run error = %v, want one containing %q", err, want)
+	}
+	if results[0].Err == nil {
+		t.Error("the short job's result carries no error")
+	}
+	if jn.Len() != 0 || len(store.m) != 0 || len(cache.entries) != 0 {
+		t.Errorf("short result kept: %d journaled, %d stored, %d cached", jn.Len(), len(store.m), len(cache.entries))
 	}
 }

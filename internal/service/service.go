@@ -39,7 +39,7 @@ import (
 	"morrigan/internal/sampling"
 	"morrigan/internal/sim"
 	"morrigan/internal/telemetry"
-	"morrigan/internal/trace"
+	"morrigan/internal/tracestore"
 	"morrigan/internal/workloads"
 )
 
@@ -89,9 +89,10 @@ type Options struct {
 	// attach an obs.Server here and its /events SSE stream carries the
 	// service's job progress.
 	Observer runner.Observer
-	// NewReader, when non-nil, supplies trace readers (e.g. from a corpus
-	// store) instead of live generators.
-	NewReader func(workloads.Spec) (trace.Reader, error)
+	// Corpus, when non-nil, feeds every campaign's simulations from
+	// materialised trace containers instead of live generators, each built
+	// to its submission's warmup+measure.
+	Corpus *tracestore.Store
 	// Log, when non-nil, receives one line per admission and completion.
 	Log io.Writer
 }
@@ -437,12 +438,14 @@ func (s *Service) next() *campaignState {
 // reservation to what actually simulated.
 func (s *Service) run(c *campaignState) {
 	ropt := runner.Options{
-		Workers:   s.opt.Workers,
-		Cache:     s.opt.Cache,
-		Store:     s.opt.Store,
-		Remote:    s.opt.Remote,
-		NewReader: s.opt.NewReader,
-		Observer:  &campaignObserver{svc: s, c: c, next: s.opt.Observer},
+		Workers:  s.opt.Workers,
+		Cache:    s.opt.Cache,
+		Store:    s.opt.Store,
+		Remote:   s.opt.Remote,
+		Observer: &campaignObserver{svc: s, c: c, next: s.opt.Observer},
+	}
+	if s.opt.Corpus != nil {
+		ropt.NewReader = s.opt.Corpus.Readers(c.sub.Warmup + c.sub.Measure)
 	}
 	results, err := runner.Run(s.ctx, c.jobs, ropt)
 

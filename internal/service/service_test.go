@@ -15,6 +15,8 @@ import (
 	"morrigan/internal/resultstore"
 	"morrigan/internal/runner"
 	"morrigan/internal/telemetry"
+	"morrigan/internal/tracestore"
+	"morrigan/internal/workloads"
 )
 
 // testSubmission is a small two-machine × two-workload sweep every test can
@@ -438,5 +440,44 @@ func TestCampaignIDStability(t *testing.T) {
 	mut.Measure++
 	if a == CampaignID("alice", mut) {
 		t.Error("measure does not discriminate campaign ids")
+	}
+}
+
+// TestCorpusBackedCampaignMatchesGenerator: a service fed from a corpus
+// store materialises each workload to the submission's warmup+measure — a
+// workload missing from the store and one present only as a short container
+// alike — and yields the generator-fed run's Stats job for job.
+func TestCorpusBackedCampaignMatchesGenerator(t *testing.T) {
+	cs, err := tracestore.Open(tracestore.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	sub := testSubmission("corpus")
+	short, _ := workloads.ByName(sub.Workloads[0])
+	if _, err := cs.Materialize(short, 1_000); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestService(t, Options{Corpus: cs})
+	st, _, err := s.Submit("tok-alice", sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, st.ID)
+	got, _ := s.Results(st.ID)
+
+	jobs, err := s.buildJobs(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := runner.Run(context.Background(), jobs, runner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i].Stats != want[i].Stats {
+			t.Errorf("job %d (%s/%s): corpus-fed stats (%d instructions) differ from the generator run's (%d)",
+				i, got[i].Job.Config, got[i].Job.Workload, got[i].Stats.Instructions, want[i].Stats.Instructions)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"morrigan/internal/trace"
 	"morrigan/internal/workloads"
 )
 
@@ -196,6 +197,19 @@ func (s *Store) Materialize(spec workloads.Spec, records uint64) (*Corpus, error
 		bw.c, bw.err = c, err
 		close(bw.done)
 		return c, err
+	}
+}
+
+// Readers returns a reader hook for runner.Options.NewReader: each call
+// materialises the workload's first `records` records (building the
+// container on first use) and starts a reader at its first record.
+func (s *Store) Readers(records uint64) func(workloads.Spec) (trace.Reader, error) {
+	return func(w workloads.Spec) (trace.Reader, error) {
+		c, err := s.Materialize(w, records)
+		if err != nil {
+			return nil, fmt.Errorf("materialising corpus for %s: %w", w.Name, err)
+		}
+		return c.NewReader(), nil
 	}
 }
 
