@@ -105,10 +105,6 @@ func OpenCampaignJournal(path string, resume bool) (*CampaignJournal, error) {
 // jobs simulate once per process.
 func NewCampaignResultCache() *CampaignResultCache { return runner.NewResultCache() }
 
-// NewCampaignRecord converts one campaign result into its machine-readable
-// form.
-func NewCampaignRecord(res CampaignResult) CampaignRecord { return runner.NewRecord(res) }
-
 // LimitTrace caps a trace at n records (it then reports io.EOF).
 func LimitTrace(r TraceReader, n uint64) TraceReader { return trace.Limit(r, n) }
 
