@@ -30,7 +30,6 @@ type Hashed struct {
 	mappedCnt uint64
 	probesSum uint64
 	walks     uint64
-	epoch     uint64 // structural mutation counter (see Translator.Epoch)
 }
 
 // hashedGroup holds the resident PTEs of one VPN line group.
@@ -91,52 +90,35 @@ func (h *Hashed) allocUserFrame() arch.PFN {
 	return f
 }
 
-// find returns the group and its probe path. The probe sequence always
-// contains at least the home bucket; on collisions it extends linearly.
-func (h *Hashed) find(tag uint64) (g *hashedGroup, probes []int, free int) {
-	free = -1
+// find returns tag's group and, when it is absent, the free bucket that
+// ends its probe chain (-1 if the table is full). The chain starts at the
+// home bucket and extends linearly on tag mismatches; its first
+// arch.MaxRadixLevels buckets become p's references, since a real
+// implementation would rehash longer chains.
+func (h *Hashed) find(tag uint64, p *Path) (g *hashedGroup, free int) {
 	idx := h.hash(tag)
 	for step := 0; step < h.buckets; step++ {
 		i := (idx + step) % h.buckets
-		probes = append(probes, i)
+		if step < arch.MaxRadixLevels {
+			p.Addrs[step] = h.bucketAddr(i)
+			p.Depth = step + 1
+		}
 		switch h.tags[i] {
 		case tag:
-			return h.groups[tag], probes, free
+			return h.groups[tag], -1
 		case 0:
-			return nil, probes, i
-		}
-		if len(probes) >= arch.MaxRadixLevels {
-			// Cap the modelled probe chain; a real implementation would
-			// rehash long chains. Insertion still finds a free slot below.
-			break
+			return nil, i
 		}
 	}
-	// Continue silently past the modelled cap to find a free bucket.
-	for step := len(probes); step < h.buckets; step++ {
-		i := (idx + step) % h.buckets
-		if h.tags[i] == 0 {
-			return nil, probes, i
-		}
-		if h.tags[i] == tag {
-			return h.groups[tag], probes, -1
-		}
-	}
-	return nil, probes, -1
+	return nil, -1
 }
 
 // Walk implements Translator: the probe sequence becomes the walk's memory
 // references.
 func (h *Hashed) Walk(vpn arch.VPN, allocate bool) Path {
 	tag := groupTag(vpn)
-	g, probes, free := h.find(tag)
 	var p Path
-	for i, b := range probes {
-		if i >= arch.MaxRadixLevels {
-			break
-		}
-		p.Addrs[i] = h.bucketAddr(b)
-		p.Depth = i + 1
-	}
+	g, free := h.find(tag, &p)
 	h.walks++
 	h.probesSum += uint64(p.Depth)
 	slot := uint64(vpn) % arch.PTEsPerLine
@@ -158,7 +140,6 @@ func (h *Hashed) Walk(vpn arch.VPN, allocate bool) Path {
 	}
 	g.ptes[slot] = PTE{PFN: h.allocUserFrame(), Present: true}
 	h.mappedCnt++
-	h.epoch++
 	p.Present = true
 	p.Leaf = g.ptes[slot].PFN
 	return p
@@ -207,22 +188,13 @@ func (h *Hashed) ClearAccessed(vpn arch.VPN) bool {
 	return true
 }
 
-// LineNeighbors implements Translator: the bucket line holds the whole
-// group, so spatial prefetching works exactly as with the radix table.
-func (h *Hashed) LineNeighbors(vpn arch.VPN) []arch.VPN {
-	g, ok := h.groups[groupTag(vpn)]
-	if !ok {
-		return nil
+// LineGroup implements Translator: the bucket line holds the whole group,
+// so spatial prefetching works exactly as with the radix table.
+func (h *Hashed) LineGroup(vpn arch.VPN) [arch.PTEsPerLine]PTE {
+	if g, ok := h.groups[groupTag(vpn)]; ok {
+		return g.ptes
 	}
-	base := vpn.LineGroup()
-	out := make([]arch.VPN, 0, arch.PTEsPerLine-1)
-	for i := arch.VPN(0); i < arch.PTEsPerLine; i++ {
-		v := base + i
-		if v != vpn && g.ptes[i].Present {
-			out = append(out, v)
-		}
-	}
-	return out
+	return [arch.PTEsPerLine]PTE{}
 }
 
 // InteriorLevels implements Translator: hashed walks have no interior
@@ -231,11 +203,6 @@ func (h *Hashed) InteriorLevels() int { return 0 }
 
 // MappedPages implements Translator.
 func (h *Hashed) MappedPages() uint64 { return h.mappedCnt }
-
-// Epoch implements Translator. Installing a PTE covers group creation too:
-// a new group's tag can lengthen other groups' probe chains, and every such
-// install also bumps the epoch.
-func (h *Hashed) Epoch() uint64 { return h.epoch }
 
 // AvgProbes reports mean bucket probes per walk (1.0 = collision-free).
 func (h *Hashed) AvgProbes() float64 {

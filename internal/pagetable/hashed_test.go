@@ -61,18 +61,61 @@ func TestHashedLineNeighbors(t *testing.T) {
 	h.EnsureMapped(base)
 	h.EnsureMapped(base + 3)
 	h.EnsureMapped(base + 7)
-	got := h.LineNeighbors(base + 3)
+	got := neighbors(h, base+3)
 	want := map[arch.VPN]bool{base: true, base + 7: true}
 	if len(got) != 2 {
-		t.Fatalf("LineNeighbors = %v", got)
+		t.Fatalf("LineGroup neighbours = %v", got)
 	}
 	for _, v := range got {
 		if !want[v] {
 			t.Errorf("unexpected neighbor %#x", v)
 		}
 	}
-	if h.LineNeighbors(0x10000) != nil {
+	if h.LineGroup(0x10000) != [arch.PTEsPerLine]PTE{} {
 		t.Fatal("neighbors for unmapped group")
+	}
+}
+
+// TestHashedProbeChainCapped fills a small table so that probe chains grow
+// past arch.MaxRadixLevels, and checks each walk's references against the
+// chain computed from the bucket tags: the home bucket and its linear
+// successors up to the tag's bucket, capped at arch.MaxRadixLevels.
+func TestHashedProbeChainCapped(t *testing.T) {
+	const buckets = 16
+	h := NewHashed(1, buckets)
+	var vpns []arch.VPN
+	for i := 0; i < buckets; i++ {
+		vpn := arch.VPN(i * 8 * 977) // distinct groups
+		h.EnsureMapped(vpn)
+		vpns = append(vpns, vpn)
+	}
+	longest := 0
+	for _, vpn := range append(vpns, 0x7777_0000) { // the last is absent
+		tag := groupTag(vpn)
+		home := h.hash(tag)
+		chain := buckets // an absent group probes the whole full table
+		for i := 0; i < buckets; i++ {
+			if h.tags[(home+i)%buckets] == tag {
+				chain = i + 1
+				break
+			}
+		}
+		longest = max(longest, chain)
+		p := h.Walk(vpn, false)
+		if want := min(chain, arch.MaxRadixLevels); p.Depth != want {
+			t.Fatalf("vpn %#x: Depth = %d, want %d (chain %d)", vpn, p.Depth, want, chain)
+		}
+		for i := 0; i < p.Depth; i++ {
+			if want := h.bucketAddr((home + i) % buckets); p.Addrs[i] != want {
+				t.Fatalf("vpn %#x: Addrs[%d] = %#x, want %#x", vpn, i, p.Addrs[i], want)
+			}
+		}
+		if _, ok := h.Lookup(vpn); p.Present != ok {
+			t.Fatalf("vpn %#x: Present = %v, Lookup %v", vpn, p.Present, ok)
+		}
+	}
+	if longest <= arch.MaxRadixLevels {
+		t.Fatalf("longest chain %d never exceeded the cap", longest)
 	}
 }
 
@@ -269,7 +312,7 @@ func TestHugeNoSpatialNeighbors(t *testing.T) {
 	pt := New(1)
 	pt.AddHugeRegion(0x100000, 0x100000+1<<15)
 	pt.EnsureMapped(0x100000 + 1)
-	if pt.LineNeighbors(0x100000+1) != nil {
+	if pt.LineGroup(0x100000+1) != [arch.PTEsPerLine]PTE{} {
 		t.Fatal("huge mappings have no 4KB line neighbors")
 	}
 }

@@ -70,21 +70,17 @@ type Translator interface {
 	// ClearAccessed resets the accessed bit (the paper's correcting page
 	// walks for prefetches that never hit, Section 4.3).
 	ClearAccessed(vpn arch.VPN) bool
-	// LineNeighbors returns the mapped pages whose PTEs share the leaf
-	// line fetched for vpn (the free spatial-prefetch candidates).
-	LineNeighbors(vpn arch.VPN) []arch.VPN
+	// LineGroup returns the leaf PTEs that share the cache line holding
+	// vpn's PTE, in VPN order from vpn.LineGroup(), without side effects.
+	// Absent entries are zero. These are the translations a walk that
+	// fetched the leaf line gets for free (the spatial-prefetch
+	// candidates, vpn's own entry included).
+	LineGroup(vpn arch.VPN) [arch.PTEsPerLine]PTE
 	// InteriorLevels is the number of radix levels above the leaf that a
 	// page-structure cache can skip; 0 for hashed tables.
 	InteriorLevels() int
 	// MappedPages counts demand-mapped virtual pages.
 	MappedPages() uint64
-	// Epoch returns a counter that advances on every structural mutation
-	// (node allocation, demand-mapping, huge-region registration). Two
-	// Walk calls for the same vpn under the same epoch return the same
-	// Path, which lets the walker memoize walks safely: accessed-bit
-	// changes deliberately do not advance the epoch because they never
-	// appear in a Path.
-	Epoch() uint64
 }
 
 // node is one page table page: 512 entries, each either a pointer to a child
@@ -107,7 +103,6 @@ type Table struct {
 	scatter   int      // max random frame skip, models fragmentation
 	mappedCnt uint64
 	nodeCnt   uint64
-	epoch     uint64 // structural mutation counter (see Translator.Epoch)
 
 	// hugeRegions lists VPN ranges mapped with 2 MB pages (PD-level
 	// leaves). The paper's Section 5 methodology uses transparent huge
@@ -175,7 +170,6 @@ func (t *Table) AddHugeRegion(start, end arch.VPN) {
 		t.hugeBlocks = make(map[arch.VPN]hugeBlock)
 	}
 	t.hugeRegions = append(t.hugeRegions, vpnRange{start, end})
-	t.epoch++
 }
 
 // IsHuge reports whether vpn falls in a huge-page region.
@@ -221,7 +215,6 @@ func (t *Table) walkHuge(vpn arch.VPN, allocate bool) Path {
 				t.hugeBlocks[base] = blk
 				n.present[idx] = true
 				t.mappedCnt++
-				t.epoch++
 			}
 			p.Present = true
 			p.Leaf = blk.base + arch.PFN(vpn-base)
@@ -255,7 +248,6 @@ func (t *Table) newNode() *node {
 	n := &node{frame: t.nextKern}
 	t.nextKern++
 	t.nodeCnt++
-	t.epoch++
 	return n
 }
 
@@ -299,7 +291,6 @@ func (t *Table) Walk(vpn arch.VPN, allocate bool) Path {
 				n.leaves[idx] = PTE{PFN: t.allocUserFrame(), Present: true}
 				n.present[idx] = true
 				t.mappedCnt++
-				t.epoch++
 			}
 			p.Present = true
 			p.Leaf = n.leaves[idx].PFN
@@ -405,35 +396,29 @@ func (t *Table) ClearAccessed(vpn arch.VPN) bool {
 	return true
 }
 
-// LineNeighbors returns the VPNs whose leaf PTEs share a cache line with
-// vpn's PTE and are currently mapped, excluding vpn itself. These are the
-// translations a walk gets "for free" from the line fill.
-func (t *Table) LineNeighbors(vpn arch.VPN) []arch.VPN {
+// LineGroup implements Translator with one descent to vpn's leaf node. A
+// PD-level leaf line covers neighbouring 2 MB mappings, not 4 KB pages, so
+// huge regions give no group: spatial prefetching of individual
+// translations does not apply there.
+func (t *Table) LineGroup(vpn arch.VPN) (g [arch.PTEsPerLine]PTE) {
 	if t.IsHuge(vpn) {
-		// A PD-level leaf line covers neighbouring 2 MB mappings, not 4 KB
-		// pages; spatial prefetching of individual translations does not
-		// apply.
-		return nil
+		return g
 	}
-	base := vpn.LineGroup()
-	out := make([]arch.VPN, 0, arch.PTEsPerLine-1)
-	for i := arch.VPN(0); i < arch.PTEsPerLine; i++ {
-		v := base + i
-		if v == vpn {
-			continue
-		}
-		if _, ok := t.Lookup(v); ok {
-			out = append(out, v)
+	n := t.root
+	for level := 0; level < t.levels-1; level++ {
+		n = n.children[t.radixIndex(vpn, level)]
+		if n == nil {
+			return g
 		}
 	}
-	return out
+	// A leaf entry's PTE is zero until mapped, and pages are never unmapped.
+	base := t.radixIndex(vpn.LineGroup(), t.levels-1)
+	copy(g[:], n.leaves[base:])
+	return g
 }
 
 // MappedPages returns how many virtual pages have been demand-mapped.
 func (t *Table) MappedPages() uint64 { return t.mappedCnt }
-
-// Epoch implements Translator.
-func (t *Table) Epoch() uint64 { return t.epoch }
 
 // Nodes returns how many page table pages exist (including the root).
 func (t *Table) Nodes() uint64 { return t.nodeCnt }

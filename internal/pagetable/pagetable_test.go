@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -125,16 +126,29 @@ func TestLeafPTELineContiguity(t *testing.T) {
 	}
 }
 
+// neighbors lists the mapped pages of vpn's line group other than vpn
+// itself, in VPN order: the translations a spatial prefetch installs for
+// free.
+func neighbors(pt Translator, vpn arch.VPN) []arch.VPN {
+	var out []arch.VPN
+	for i, pte := range pt.LineGroup(vpn) {
+		if v := vpn.LineGroup() + arch.VPN(i); pte.Present && v != vpn {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 func TestLineNeighbors(t *testing.T) {
 	pt := New(1)
 	base := arch.VPN(0x800) // line-group aligned
 	pt.Walk(base, true)
 	pt.Walk(base+3, true)
 	pt.Walk(base+7, true)
-	got := pt.LineNeighbors(base + 3)
+	got := neighbors(pt, base+3)
 	want := map[arch.VPN]bool{base: true, base + 7: true}
 	if len(got) != 2 {
-		t.Fatalf("LineNeighbors = %v", got)
+		t.Fatalf("LineGroup neighbours = %v", got)
 	}
 	for _, v := range got {
 		if !want[v] {
@@ -146,6 +160,61 @@ func TestLineNeighbors(t *testing.T) {
 		if v == base+3 {
 			t.Error("self returned as neighbor")
 		}
+	}
+	// The group is in VPN order: vpn's own PTE sits at its offset.
+	if self, _ := pt.Lookup(base + 3); pt.LineGroup(base + 3)[3] != self {
+		t.Error("group slot 3 is not the walked page's PTE")
+	}
+}
+
+// TestLineGroupMatchesLookup checks the one-descent group read against a
+// brute-force Lookup of each of the line's eight VPNs, over random mapped
+// sets on every page-table kind. Huge regions have no 4 KB group.
+func TestLineGroupMatchesLookup(t *testing.T) {
+	const hugeStart, hugeEnd = arch.VPN(0x200000), arch.VPN(0x200000 + 4*HugePages)
+	kinds := map[string]func() Translator{
+		"radix4": func() Translator { return New(1) },
+		"radix5": func() Translator { return NewWithLevels(1, 5) },
+		"hashed": func() Translator { return NewHashed(1, 1<<12) },
+		"huge": func() Translator {
+			pt := New(1)
+			pt.AddHugeRegion(hugeStart, hugeEnd)
+			return pt
+		},
+	}
+	for name, mk := range kinds {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			for round := 0; round < 20; round++ {
+				pt := mk()
+				// Cluster the mapped pages around a few bases so line groups
+				// fill partially, and one base straddles the huge region.
+				bases := []arch.VPN{
+					arch.VPN(rng.Int63n(1 << 30)),
+					arch.VPN(rng.Int63n(1 << 20)),
+					hugeStart - 256,
+				}
+				for i := 0; i < 300; i++ {
+					pt.EnsureMapped(bases[rng.Intn(len(bases))] + arch.VPN(rng.Intn(512)))
+				}
+				for i := 0; i < 300; i++ {
+					vpn := bases[rng.Intn(len(bases))] + arch.VPN(rng.Intn(520))
+					group := pt.LineGroup(vpn)
+					huge := name == "huge" && vpn >= hugeStart && vpn < hugeEnd
+					for j, got := range group {
+						v := vpn.LineGroup() + arch.VPN(j)
+						want, ok := pt.Lookup(v)
+						if !ok || huge {
+							want = PTE{}
+						}
+						if got != want {
+							t.Fatalf("round %d: LineGroup(%#x)[%d] = %+v, Lookup(%#x) = %+v, %v (huge %v)",
+								round, vpn, j, got, v, want, ok, huge)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

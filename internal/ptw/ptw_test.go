@@ -88,6 +88,22 @@ func TestPrefetchWalkFindsMappedPage(t *testing.T) {
 	}
 }
 
+// freeVPNs lists the mapped pages a walk of vpn gets for free when it
+// fetched the leaf line: the other present entries of vpn's line group, in
+// VPN order.
+func freeVPNs(pt pagetable.Translator, res WalkResult, vpn arch.VPN) []arch.VPN {
+	if !res.LeafFetched {
+		return nil
+	}
+	var out []arch.VPN
+	for i, pte := range pt.LineGroup(vpn) {
+		if v := vpn.LineGroup() + arch.VPN(i); pte.Present && v != vpn {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 func TestFreeVPNsFromLeafLine(t *testing.T) {
 	w, pt, _ := newTestWalker(false)
 	// Map three pages in one PTE line group.
@@ -97,10 +113,11 @@ func TestFreeVPNsFromLeafLine(t *testing.T) {
 	pt.EnsureMapped(base + 7)
 	res := w.Walk(0, base, 0, true)
 	want := map[arch.VPN]bool{base + 2: true, base + 7: true}
-	if len(res.FreeVPNs) != 2 {
-		t.Fatalf("FreeVPNs = %v", res.FreeVPNs)
+	free := freeVPNs(pt, res, base)
+	if len(free) != 2 {
+		t.Fatalf("free VPNs = %v", free)
 	}
-	for _, v := range res.FreeVPNs {
+	for _, v := range free {
 		if !want[v] {
 			t.Errorf("unexpected free VPN %#x", v)
 		}

@@ -20,11 +20,10 @@ type WalkResult struct {
 	Present bool
 	// PFN is the translation when Present.
 	PFN arch.PFN
-	// FreeVPNs are the already-mapped virtual pages whose leaf PTEs share
-	// the cache line fetched for this walk's leaf access — translations the
-	// prefetcher can install "for free" without further memory references.
-	// Populated only when the leaf level was reached.
-	FreeVPNs []arch.VPN
+	// LeafFetched reports that the walk read the leaf PTE's cache line, so
+	// the mapped translations in the table's LineGroup for the walked page
+	// are available "for free", without further memory references.
+	LeafFetched bool
 	// Queued is the extra delay this walk spent waiting for a free walker
 	// MSHR (demand walks only; prefetch walks are dropped instead).
 	Queued arch.Cycle
@@ -49,24 +48,6 @@ func DefaultConfig() Config {
 	return Config{PSC: DefaultPSCConfig(), MSHRs: 4}
 }
 
-// walkMemoSlots sizes the walker's direct-mapped walk memo (a power of two).
-const walkMemoSlots = 4096
-
-// walkMemo caches the functional outcome of one table walk: the reference
-// path and the leaf line's neighbour translations, both valid as long as the
-// table's structural epoch is unchanged. Timing state (PSC probes, memory
-// accesses, MSHR occupancy, accessed bits) is never memoized — a memo hit
-// replays the identical Path through the full timing model, so statistics
-// are bit-identical with and without the memo.
-type walkMemo struct {
-	vpn           arch.VPN
-	epoch         uint64
-	path          pagetable.Path
-	neighbors     []arch.VPN
-	haveNeighbors bool
-	valid         bool
-}
-
 // Walker performs page walks against a page table (radix or hashed),
 // filtered through the PSC when the table has interior levels, with memory
 // references served by the cache hierarchy.
@@ -78,14 +59,12 @@ type Walker struct {
 	cfg      Config
 	busy     []arch.Cycle // per-MSHR busy-until timestamps
 	probe    *telemetry.Probe
-	memo     []walkMemo
 
 	demandWalks     uint64
 	demandRefs      uint64
 	prefetchWalks   uint64
 	prefetchRefs    uint64
 	droppedWalks    uint64
-	accessedMarked  uint64
 	correctingWalks uint64
 }
 
@@ -103,7 +82,6 @@ func New(pt pagetable.Translator, mem *cache.Hierarchy, cfg Config) *Walker {
 		mem:      mem,
 		cfg:      cfg,
 		busy:     make([]arch.Cycle, cfg.MSHRs),
-		memo:     make([]walkMemo, walkMemoSlots),
 	}
 }
 
@@ -144,22 +122,7 @@ func (w *Walker) Walk(tid arch.ThreadID, vpn arch.VPN, now arch.Cycle, demand bo
 		queued = w.busy[slot] - now
 	}
 
-	// Resolve the reference path, memoizing per (vpn, table epoch):
-	// repeated walks of an unchanged page table skip the pointer chase but
-	// replay the identical path through the PSC and memory timing below. A
-	// memoized non-present path cannot serve a demand walk — the demand
-	// walk must reach the table to demand-map the page.
-	epoch := w.table.Epoch()
-	m := &w.memo[uint64(vpn)&(walkMemoSlots-1)]
-	var path pagetable.Path
-	if m.valid && m.vpn == vpn && m.epoch == epoch && (m.path.Present || !demand) {
-		path = m.path
-	} else {
-		path = w.table.Walk(vpn, demand)
-		// A demand walk may have advanced the epoch by allocating; the
-		// fresh path is valid for the post-walk epoch.
-		*m = walkMemo{vpn: vpn, epoch: w.table.Epoch(), path: path, valid: true}
-	}
+	path := w.table.Walk(vpn, demand)
 	start := 0
 	var res WalkResult
 	res.Queued = queued
@@ -192,18 +155,7 @@ func (w *Walker) Walk(tid arch.ThreadID, vpn arch.VPN, now arch.Cycle, demand bo
 
 	res.Present = path.Present
 	res.PFN = path.Leaf
-	if path.Present || path.Depth == w.interior+1 {
-		// The leaf line was fetched, so its neighbouring translations are
-		// available for free. The memo entry is current for this vpn and
-		// epoch (refreshed above on any mismatch), so the neighbour list
-		// is computed once per epoch and shared; callers consume it before
-		// the next walk per the WalkResult contract.
-		if !m.haveNeighbors {
-			m.neighbors = w.table.LineNeighbors(vpn)
-			m.haveNeighbors = true
-		}
-		res.FreeVPNs = m.neighbors
-	}
+	res.LeafFetched = path.Present || path.Depth == w.interior+1
 	if w.interior > 0 {
 		// Cache the interior prefixes the walk resolved. resolvedThrough
 		// is the deepest interior level whose child exists.
@@ -217,9 +169,7 @@ func (w *Walker) Walk(tid arch.ThreadID, vpn arch.VPN, now arch.Cycle, demand bo
 	if path.Present {
 		// x86 requires even prefetched translations to set the accessed
 		// bit (Section 4.3).
-		if w.table.MarkAccessed(vpn) {
-			w.accessedMarked++
-		}
+		w.table.MarkAccessed(vpn)
 	}
 	if demand {
 		w.demandWalks++
@@ -300,7 +250,7 @@ func (w *Walker) RefsPerDemandWalk() float64 {
 func (w *Walker) ResetStats() {
 	w.demandWalks, w.demandRefs = 0, 0
 	w.prefetchWalks, w.prefetchRefs = 0, 0
-	w.droppedWalks, w.accessedMarked, w.correctingWalks = 0, 0, 0
+	w.droppedWalks, w.correctingWalks = 0, 0
 }
 
 // Settle frees every MSHR slot. Sampled execution calls it when the

@@ -40,8 +40,8 @@ func TestWalkerHashedPreservesPageTableLocality(t *testing.T) {
 	pt.EnsureMapped(base + 1)
 	pt.EnsureMapped(base + 5)
 	res := w.Walk(0, base, 0, true)
-	if len(res.FreeVPNs) != 2 {
-		t.Fatalf("FreeVPNs = %v: hashed tables must preserve page table locality (Section 4.3)", res.FreeVPNs)
+	if free := freeVPNs(pt, res, base); len(free) != 2 {
+		t.Fatalf("free VPNs = %v: hashed tables must preserve page table locality (Section 4.3)", free)
 	}
 }
 
@@ -84,12 +84,64 @@ func TestHashedWalkerFreeVPNsWithoutExtraRefs(t *testing.T) {
 	}
 	before := mem.ServedTotal(cache.KindPTWDemand)
 	res := w.Walk(0, base, 0, true)
+	free := freeVPNs(pt, res, base)
 	after := mem.ServedTotal(cache.KindPTWDemand)
-	if len(res.FreeVPNs) != 7 {
-		t.Fatalf("FreeVPNs = %d, want 7", len(res.FreeVPNs))
+	if len(free) != 7 {
+		t.Fatalf("free VPNs = %d, want 7", len(free))
 	}
 	if after-before != uint64(res.MemRefs) {
 		t.Fatal("free neighbours must not cost extra memory references")
+	}
+}
+
+// groupSink keeps TestWalkAllocationFree's group reads observable.
+var groupSink [arch.PTEsPerLine]pagetable.PTE
+
+// TestWalkAllocationFree requires a demand walk, a prefetch walk and the
+// read of the leaf line's PTEs to allocate nothing once the page is mapped,
+// on every page-table kind.
+func TestWalkAllocationFree(t *testing.T) {
+	const huge = arch.VPN(0x100000)
+	kinds := []struct {
+		name string
+		pt   pagetable.Translator
+		vpn  arch.VPN
+	}{
+		{"radix4", pagetable.New(1), 0x123456},
+		{"radix5", pagetable.NewWithLevels(1, 5), 0x123456},
+		{"hashed", pagetable.NewHashed(1, 1<<14), 0x123456},
+		{"huge", func() pagetable.Translator {
+			pt := pagetable.New(1)
+			pt.AddHugeRegion(huge, huge+1<<15)
+			return pt
+		}(), huge + 3},
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			w, _ := newSubstrateWalker(k.pt)
+			for i := arch.VPN(0); i < arch.PTEsPerLine; i += 3 {
+				k.pt.EnsureMapped(k.vpn.LineGroup() + i)
+			}
+			k.pt.EnsureMapped(k.vpn)
+			now := arch.Cycle(0)
+			for _, demand := range []bool{true, false} {
+				var res WalkResult
+				allocs := testing.AllocsPerRun(100, func() {
+					// Far apart, so no prefetch walk is dropped.
+					now += 1 << 20
+					res = w.Walk(0, k.vpn, now, demand)
+				})
+				if !res.Present || !res.LeafFetched {
+					t.Fatalf("demand=%v: walk %+v did not resolve", demand, res)
+				}
+				if allocs != 0 {
+					t.Errorf("demand=%v: walk allocates %.1f times", demand, allocs)
+				}
+			}
+			if allocs := testing.AllocsPerRun(100, func() { groupSink = k.pt.LineGroup(k.vpn) }); allocs != 0 {
+				t.Errorf("LineGroup allocates %.1f times", allocs)
+			}
+		})
 	}
 }
 

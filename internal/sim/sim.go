@@ -505,11 +505,12 @@ func (s *Simulator) issuePrefetches(tid arch.ThreadID, at arch.Cycle, reqs []tlb
 		}
 		ready := at + walk.Latency
 		s.installPrefetch(tid, r.VPN, walk.PFN, r.Token, at, ready)
-		if r.Spatial {
+		if r.Spatial && walk.LeafFetched {
 			// The leaf line just fetched carries up to 7 neighbouring
 			// PTEs; install them for free (steps 14/17 of Figure 12).
-			for _, v := range walk.FreeVPNs {
-				if pte, ok := s.pt.Lookup(v); ok {
+			base := r.VPN.LineGroup()
+			for i, pte := range s.pt.LineGroup(r.VPN) {
+				if v := base + arch.VPN(i); pte.Present && v != r.VPN {
 					s.installPrefetch(tid, v, pte.PFN, r.Token, at, ready)
 					s.c.prefFreePTEs++
 				}
