@@ -8,7 +8,8 @@ import (
 )
 
 // TestCorpusStatsEquivalence runs one campaign twice — trace supply from
-// live generators, then from a materialised corpus store — and requires
+// live generators, then from a materialised corpus store that already holds
+// one workload as a container shorter than the window — and requires
 // bit-identical Stats for every job, single-threaded and SMT alike. The
 // corpus is purely a faster way to deliver the same record stream; any
 // divergence here means the container or the batch path altered the
@@ -31,6 +32,11 @@ func TestCorpusStatsEquivalence(t *testing.T) {
 		t.Fatalf("tracestore.Open: %v", err)
 	}
 	defer store.Close()
+	// A container shorter than the window must be rebuilt to cover it, not
+	// replayed short.
+	if _, err := store.Materialize(ws[1], 1_000); err != nil {
+		t.Fatalf("Materialize: %v", err)
+	}
 	oc := o
 	oc.Corpus = store
 	cor, err := oc.campaign("equiv", jobs)

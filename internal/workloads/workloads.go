@@ -15,6 +15,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"morrigan/internal/trace"
 )
@@ -214,13 +215,15 @@ func Mixes(n, way int, seed int64) [][]Spec {
 	return mixes
 }
 
+// builtins is every built-in workload, built once for name lookups. A Spec
+// holds no references, so handing out copies cannot alter the table.
+var builtins = sync.OnceValue(All)
+
 // ByName returns the workload with the given name from any built-in suite.
 func ByName(name string) (Spec, bool) {
-	for _, suite := range [][]Spec{QMM(), SPEC(), Java()} {
-		for _, s := range suite {
-			if s.Name == name {
-				return s, true
-			}
+	for _, s := range builtins() {
+		if s.Name == name {
+			return s, true
 		}
 	}
 	return Spec{}, false

@@ -3,6 +3,7 @@ package workloads
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"morrigan/internal/arch"
@@ -47,14 +48,31 @@ func TestNamesUnique(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	if s, ok := ByName("qmm-srv-07"); !ok || s.Name != "qmm-srv-07" {
-		t.Fatalf("ByName(qmm-srv-07) = %v %v", s.Name, ok)
+	// Lookups share one lazily built table: resolve a name from each suite
+	// on several goroutines at once, for the race detector.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range []string{"qmm-srv-07", "spec-mcfish", "cassandra"} {
+				if s, ok := ByName(name); !ok || s.Name != name {
+					t.Errorf("ByName(%s) = %v %v", name, s.Name, ok)
+				}
+			}
+		}()
 	}
-	if _, ok := ByName("cassandra"); !ok {
-		t.Fatal("ByName(cassandra) missing")
-	}
+	wg.Wait()
 	if _, ok := ByName("nope"); ok {
 		t.Fatal("ByName(nope) found something")
+	}
+}
+
+// TestByNameAllocationFree: a lookup scans one table built once; it must not
+// rebuild the suites (each spec draws from a fresh rand source) per call.
+func TestByNameAllocationFree(t *testing.T) {
+	if n := testing.AllocsPerRun(20, func() { ByName("cassandra") }); n != 0 {
+		t.Fatalf("ByName allocates %v times per call, want 0", n)
 	}
 }
 
