@@ -83,13 +83,13 @@ type Translator interface {
 	MappedPages() uint64
 }
 
-// node is one page table page: 512 entries, each either a pointer to a child
-// node (interior levels) or a leaf translation.
+// node is one page table page: 512 entries, either pointers to child nodes
+// (interior levels) or leaf translations. Each node allocates only the array
+// its level uses; the other stays nil.
 type node struct {
 	frame    arch.PFN
-	children [arch.RadixFanout]*node // interior levels only
-	leaves   [arch.RadixFanout]PTE   // leaf level only
-	present  [arch.RadixFanout]bool
+	children *[arch.RadixFanout]*node // interior levels only
+	leaves   *[arch.RadixFanout]PTE   // leaf level only
 }
 
 // Table is the per-address-space radix page table plus the OS frame
@@ -151,7 +151,7 @@ func NewWithLevels(seed int64, levels int) *Table {
 		nextUser: userBasePFN,
 		scatter:  8,
 	}
-	t.root = t.newNode()
+	t.root = t.newNode(0)
 	return t
 }
 
@@ -213,7 +213,6 @@ func (t *Table) walkHuge(vpn arch.VPN, allocate bool) Path {
 				}
 				blk = hugeBlock{base: t.allocHugeBlock()}
 				t.hugeBlocks[base] = blk
-				n.present[idx] = true
 				t.mappedCnt++
 			}
 			p.Present = true
@@ -225,9 +224,8 @@ func (t *Table) walkHuge(vpn arch.VPN, allocate bool) Path {
 			if !allocate {
 				return p
 			}
-			child = t.newNode()
+			child = t.newNode(level + 1)
 			n.children[idx] = child
-			n.present[idx] = true
 		}
 		n = child
 	}
@@ -244,8 +242,15 @@ func (t *Table) radixIndex(vpn arch.VPN, level int) uint64 {
 	return (uint64(vpn) >> shift) & (arch.RadixFanout - 1)
 }
 
-func (t *Table) newNode() *node {
+// newNode allocates the next page table page for the given level (0 is the
+// root). Nodes take kernel frames in creation order, whatever their level.
+func (t *Table) newNode(level int) *node {
 	n := &node{frame: t.nextKern}
+	if level == t.levels-1 {
+		n.leaves = new([arch.RadixFanout]PTE)
+	} else {
+		n.children = new([arch.RadixFanout]*node)
+	}
 	t.nextKern++
 	t.nodeCnt++
 	return n
@@ -284,12 +289,11 @@ func (t *Table) Walk(vpn arch.VPN, allocate bool) Path {
 		p.Addrs[level] = pteAddr(n, idx)
 		p.Depth = level + 1
 		if level == t.levels-1 {
-			if !n.present[idx] {
+			if !n.leaves[idx].Present {
 				if !allocate {
 					return p
 				}
 				n.leaves[idx] = PTE{PFN: t.allocUserFrame(), Present: true}
-				n.present[idx] = true
 				t.mappedCnt++
 			}
 			p.Present = true
@@ -301,9 +305,8 @@ func (t *Table) Walk(vpn arch.VPN, allocate bool) Path {
 			if !allocate {
 				return p
 			}
-			child = t.newNode()
+			child = t.newNode(level + 1)
 			n.children[idx] = child
-			n.present[idx] = true
 		}
 		n = child
 	}
@@ -330,11 +333,8 @@ func (t *Table) Lookup(vpn arch.VPN) (PTE, bool) {
 			return PTE{}, false
 		}
 	}
-	idx := t.radixIndex(vpn, t.levels-1)
-	if !n.present[idx] {
-		return PTE{}, false
-	}
-	return n.leaves[idx], true
+	pte := n.leaves[t.radixIndex(vpn, t.levels-1)]
+	return pte, pte.Present
 }
 
 // EnsureMapped demand-maps vpn (first touch) and returns its frame.
@@ -363,7 +363,7 @@ func (t *Table) MarkAccessed(vpn arch.VPN) bool {
 		}
 	}
 	idx := t.radixIndex(vpn, t.levels-1)
-	if !n.present[idx] || n.leaves[idx].Accessed {
+	if !n.leaves[idx].Present || n.leaves[idx].Accessed {
 		return false
 	}
 	n.leaves[idx].Accessed = true
@@ -389,7 +389,7 @@ func (t *Table) ClearAccessed(vpn arch.VPN) bool {
 		}
 	}
 	idx := t.radixIndex(vpn, t.levels-1)
-	if !n.present[idx] || !n.leaves[idx].Accessed {
+	if !n.leaves[idx].Present || !n.leaves[idx].Accessed {
 		return false
 	}
 	n.leaves[idx].Accessed = false
