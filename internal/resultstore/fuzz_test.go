@@ -12,22 +12,7 @@ import (
 func validEnvelope(t testing.TB) []byte {
 	t.Helper()
 	key, res := testResult(t, 0)
-	j := res.Job
-	hashes := make([]string, len(j.Workloads))
-	for i, w := range j.Workloads {
-		hashes[i] = w.Hash()
-	}
-	raw, err := json.Marshal(Record{
-		Key:        key,
-		Machine:    j.Machine.Hash(),
-		Workloads:  hashes,
-		Warmup:     j.Warmup,
-		Measure:    j.Measure,
-		Experiment: j.Experiment,
-		Config:     j.Config,
-		Workload:   j.Workload,
-		Stats:      res.Stats,
-	})
+	raw, err := json.Marshal(runner.NewStoredRecord(key, res))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +53,8 @@ func FuzzEnvelope(f *testing.F) {
 		}
 		// A decode that succeeds must have fully verified the record: the
 		// stored key re-derives from the stored components.
-		derived := runner.DeriveSampledJobKey(rec.Machine, rec.Workloads, rec.Warmup, rec.Measure, rec.policy())
-		if derived != rec.Key {
-			t.Fatalf("decodeRecord accepted a record whose key %q does not derive from its components (%q)", rec.Key, derived)
+		if !rec.Verified() {
+			t.Fatalf("decodeRecord accepted a record whose key %q does not derive from its components", rec.Key)
 		}
 	})
 }

@@ -36,7 +36,6 @@ import (
 
 	"morrigan/internal/runner"
 	"morrigan/internal/sampling"
-	"morrigan/internal/sim"
 )
 
 // SchemaVersion identifies the stored-record format.
@@ -45,33 +44,9 @@ const SchemaVersion = 1
 // castagnoli is the CRC-32C table, matching the corpus container checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Record is the stored form of one completed job. The key's components are
-// stored alongside the stats so the scan can verify the key still derives
-// from them; the display fields are informational.
-type Record struct {
-	Key        string    `json:"key"`
-	Machine    string    `json:"machine"`
-	Workloads  []string  `json:"workloads"`
-	Warmup     uint64    `json:"warmup"`
-	Measure    uint64    `json:"measure"`
-	Experiment string    `json:"experiment,omitempty"`
-	Config     string    `json:"config,omitempty"`
-	Workload   string    `json:"workload,omitempty"`
-	Stats      sim.Stats `json:"stats"`
-	// Sampling marks sampled results; its policy participates in key
-	// re-derivation, so a sampled record can never be served to a full-run
-	// job or vice versa.
-	Sampling *sampling.Outcome `json:"sampling,omitempty"`
-}
-
-// policy extracts the record's sampling policy for key re-derivation,
-// nil-safe.
-func (r *Record) policy() *sampling.Policy {
-	if r.Sampling == nil {
-		return nil
-	}
-	return &r.Sampling.Policy
-}
+// Record is the stored form of one completed job, the same record the
+// checkpoint journal writes (runner.StoredRecord).
+type Record = runner.StoredRecord
 
 // envelope is the on-disk file shape: the record's compact JSON bytes plus a
 // CRC-32C over exactly those bytes. RawMessage preserves the bytes verbatim
@@ -132,7 +107,7 @@ func (s *Store) Lookup(key string) (runner.Stored, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.records[key]
-	return runner.Stored{Stats: r.Stats, Sampling: r.Sampling}, ok
+	return r.Stored(), ok
 }
 
 // Get returns the full stored record for key, if present.
@@ -165,23 +140,8 @@ func (s *Store) Put(key string, res runner.Result) error {
 	if res.Err != nil {
 		return fmt.Errorf("resultstore: refusing to store failed result for %s", res.Job.Name())
 	}
-	hashes := make([]string, len(res.Job.Workloads))
-	for i, w := range res.Job.Workloads {
-		hashes[i] = w.Hash()
-	}
-	rec := Record{
-		Key:        key,
-		Machine:    res.Job.Machine.Hash(),
-		Workloads:  hashes,
-		Warmup:     res.Job.Warmup,
-		Measure:    res.Job.Measure,
-		Experiment: res.Job.Experiment,
-		Config:     res.Job.Config,
-		Workload:   res.Job.Workload,
-		Stats:      res.Stats,
-		Sampling:   res.Sampling,
-	}
-	if derived := runner.DeriveSampledJobKey(rec.Machine, rec.Workloads, rec.Warmup, rec.Measure, rec.policy()); derived != key {
+	rec := runner.NewStoredRecord(key, res)
+	if !rec.Verified() {
 		return fmt.Errorf("resultstore: key %.12s… does not derive from the result's components", key)
 	}
 
@@ -330,7 +290,7 @@ func decodeRecord(raw []byte) (Record, error) {
 	if err := json.Unmarshal(env.Record, &rec); err != nil {
 		return Record{}, err
 	}
-	if derived := runner.DeriveSampledJobKey(rec.Machine, rec.Workloads, rec.Warmup, rec.Measure, rec.policy()); derived != rec.Key {
+	if !rec.Verified() {
 		return Record{}, fmt.Errorf("key does not derive from stored components")
 	}
 	return rec, nil

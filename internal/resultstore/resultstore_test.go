@@ -1,7 +1,9 @@
 package resultstore
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 
 	"morrigan/internal/machine"
 	"morrigan/internal/runner"
+	"morrigan/internal/sampling"
 	"morrigan/internal/sim"
 	"morrigan/internal/workloads"
 )
@@ -327,5 +330,72 @@ func TestStoreServesCampaign(t *testing.T) {
 func TestOpenRequiresDir(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Fatal("Open(\"\") succeeded")
+	}
+}
+
+// TestJournalAndStoreWriteOneRecord writes one sampled result through the
+// checkpoint journal and the result store: the journal line must be the
+// store's record bytes with "kind" as the first field, and both layers must
+// read back the same payload.
+func TestJournalAndStoreWriteOneRecord(t *testing.T) {
+	_, res := testResult(t, 0)
+	pol := sampling.DefaultPolicy()
+	res.Job.Sampling = &pol
+	res.Sampling = &sampling.Outcome{Policy: pol, Intervals: 10, Slices: 3, TimedInstructions: 1234}
+	key, _ := res.Job.Key()
+
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal")
+	jn, err := runner.OpenJournal(jpath, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Append(res); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key, res); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("journal holds %d lines, want a header and one record", len(lines))
+	}
+	raw, err = os.ReadFile(filepath.Join(dir, "store", key[:2], key+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env envelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(`{"kind":"result",`), env.Record[1:]...)
+	if !bytes.Equal(lines[1], want) {
+		t.Errorf("journal and store records differ:\n journal: %s\n store:   %s", lines[1], env.Record)
+	}
+
+	jn, err = runner.OpenJournal(jpath, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.Close()
+	fromJournal, ok := jn.Lookup(key)
+	if !ok {
+		t.Fatal("journal did not reload its record")
+	}
+	fromStore, _ := s.Lookup(key)
+	if !reflect.DeepEqual(fromJournal, fromStore) || fromStore.Stats != res.Stats || *fromStore.Sampling != *res.Sampling {
+		t.Errorf("payloads differ: journal %+v, store %+v, put %+v", fromJournal, fromStore, res)
 	}
 }

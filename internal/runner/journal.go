@@ -7,9 +7,6 @@ import (
 	"io"
 	"os"
 	"sync"
-
-	"morrigan/internal/sampling"
-	"morrigan/internal/sim"
 )
 
 // JournalSchemaVersion identifies the checkpoint-journal file format.
@@ -74,25 +71,10 @@ type journalHeader struct {
 	Schema int    `json:"schema"`
 }
 
-// journalRecord is one completed job. The key's components (machine hash,
-// workload hashes, scale) are stored alongside the key so load can verify
-// the key still derives from them; the display fields are informational.
+// journalRecord is one completed job: a StoredRecord behind the line's kind.
 type journalRecord struct {
-	Kind       string    `json:"kind"`
-	Key        string    `json:"key"`
-	Machine    string    `json:"machine"`
-	Workloads  []string  `json:"workloads"`
-	Warmup     uint64    `json:"warmup"`
-	Measure    uint64    `json:"measure"`
-	Experiment string    `json:"experiment,omitempty"`
-	Config     string    `json:"config,omitempty"`
-	Workload   string    `json:"workload,omitempty"`
-	Stats      sim.Stats `json:"stats"`
-	// Sampling marks sampled results; its policy participates in key
-	// re-derivation on load. Absent for full runs, so pre-sampling journals
-	// load unchanged — and a sampled record read by a pre-sampling binary
-	// fails its key check and is discarded rather than misread.
-	Sampling *sampling.Outcome `json:"sampling,omitempty"`
+	Kind string `json:"kind"`
+	StoredRecord
 }
 
 // OpenJournal opens the checkpoint journal at path. With resume false the
@@ -193,12 +175,10 @@ func (j *Journal) load() (validOffset int64, err error) {
 		if json.Unmarshal([]byte(line), &rec) != nil || rec.Kind != "result" {
 			return offset, nil
 		}
-		// Verify the stored key still derives from the stored components
-		// (including the sampling policy for sampled records); a mismatch
-		// (stale hash version, edited file) discards the record so the job
-		// re-runs rather than reusing a wrong result.
-		if jobKey(rec.Machine, rec.Workloads, rec.Warmup, rec.Measure, recordPolicy(rec.Sampling)) == rec.Key {
-			j.seen[rec.Key] = Stored{Stats: rec.Stats, Sampling: rec.Sampling}
+		// A record whose key no longer derives from its components is
+		// discarded, so its job re-runs.
+		if rec.Verified() {
+			j.seen[rec.Key] = rec.Stored()
 		}
 		offset += int64(len(line))
 	}
@@ -213,23 +193,7 @@ func (j *Journal) Append(res Result) error {
 	if !ok || res.Err != nil {
 		return nil
 	}
-	hashes := make([]string, len(res.Job.Workloads))
-	for i, w := range res.Job.Workloads {
-		hashes[i] = w.Hash()
-	}
-	rec := journalRecord{
-		Kind:       "result",
-		Key:        key,
-		Machine:    res.Job.Machine.Hash(),
-		Workloads:  hashes,
-		Warmup:     res.Job.Warmup,
-		Measure:    res.Job.Measure,
-		Experiment: res.Job.Experiment,
-		Config:     res.Job.Config,
-		Workload:   res.Job.Workload,
-		Stats:      res.Stats,
-		Sampling:   res.Sampling,
-	}
+	rec := journalRecord{Kind: "result", StoredRecord: NewStoredRecord(key, res)}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("runner: journal: %w", err)
@@ -301,14 +265,6 @@ func (j *Journal) Lookup(key string) (Stored, bool) {
 	defer j.mu.Unlock()
 	st, ok := j.seen[key]
 	return st, ok
-}
-
-// recordPolicy extracts the sampling policy from a stored outcome, nil-safe.
-func recordPolicy(o *sampling.Outcome) *sampling.Policy {
-	if o == nil {
-		return nil
-	}
-	return &o.Policy
 }
 
 // Len reports how many completed jobs the journal holds.

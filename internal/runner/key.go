@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"morrigan/internal/sampling"
+	"morrigan/internal/sim"
 )
 
 // jobKeyVersion is folded into every job key so a deliberate change to the
@@ -44,25 +45,6 @@ func (j Job) Key() (string, bool) {
 		hashes[i] = w.Hash()
 	}
 	return jobKey(j.Machine.Hash(), hashes, j.Warmup, j.Measure, j.Sampling), true
-}
-
-// DeriveJobKey derives the canonical full-run job key from already-computed
-// component hashes — the same derivation Job.Key performs for non-sampled
-// jobs. Persistence layers that store keys next to their components (the
-// checkpoint journal, the on-disk result store) re-derive keys through this
-// function on load to verify that a stored record still matches what its
-// components hash to today; a mismatch (stale hash version, hand-edited
-// record) means the record must be discarded so the job re-runs rather than
-// reusing a wrong result.
-func DeriveJobKey(machineHash string, workloadHashes []string, warmup, measure uint64) string {
-	return jobKey(machineHash, workloadHashes, warmup, measure, nil)
-}
-
-// DeriveSampledJobKey is DeriveJobKey for sampled records: pol nil degrades
-// to the full-run derivation, so persistence layers can re-derive either kind
-// from one call site.
-func DeriveSampledJobKey(machineHash string, workloadHashes []string, warmup, measure uint64, pol *sampling.Policy) string {
-	return jobKey(machineHash, workloadHashes, warmup, measure, pol)
 }
 
 // Describe renders the job's enumeration line for -dry-run output: display
@@ -103,9 +85,9 @@ func (j Job) Describe() string {
 }
 
 // jobKey derives the canonical key from already-computed component hashes.
-// Journal loading re-derives keys through this same function to verify that
-// a journaled record still matches what its components hash to today. The
-// sampling policy is folded in only when present — full-run keys are
+// StoredRecord.Verified re-derives keys through this same function to check
+// that a persisted record still matches what its components hash to today.
+// The sampling policy is folded in only when present — full-run keys are
 // unchanged from every prior release.
 func jobKey(machineHash string, workloadHashes []string, warmup, measure uint64, pol *sampling.Policy) string {
 	h := sha256.New()
@@ -135,3 +117,61 @@ func jobKey(machineHash string, workloadHashes []string, warmup, measure uint64,
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// StoredRecord is the durable form of one completed keyed job, written by
+// both the checkpoint journal and the result store. The key's components
+// (machine hash, workload hashes, scale) are stored alongside the key so a
+// reader can check the key still derives from them (Verified); the display
+// fields are informational.
+type StoredRecord struct {
+	Key        string    `json:"key"`
+	Machine    string    `json:"machine"`
+	Workloads  []string  `json:"workloads"`
+	Warmup     uint64    `json:"warmup"`
+	Measure    uint64    `json:"measure"`
+	Experiment string    `json:"experiment,omitempty"`
+	Config     string    `json:"config,omitempty"`
+	Workload   string    `json:"workload,omitempty"`
+	Stats      sim.Stats `json:"stats"`
+	// Sampling marks sampled results; its policy participates in key
+	// re-derivation, so a sampled record is never served to a full-run job
+	// or the reverse. Absent for full runs, so records written before
+	// sampling existed read unchanged.
+	Sampling *sampling.Outcome `json:"sampling,omitempty"`
+}
+
+// NewStoredRecord returns the stored form of res under key, the canonical
+// key of res.Job.
+func NewStoredRecord(key string, res Result) StoredRecord {
+	hashes := make([]string, len(res.Job.Workloads))
+	for i, w := range res.Job.Workloads {
+		hashes[i] = w.Hash()
+	}
+	return StoredRecord{
+		Key:        key,
+		Machine:    res.Job.Machine.Hash(),
+		Workloads:  hashes,
+		Warmup:     res.Job.Warmup,
+		Measure:    res.Job.Measure,
+		Experiment: res.Job.Experiment,
+		Config:     res.Job.Config,
+		Workload:   res.Job.Workload,
+		Stats:      res.Stats,
+		Sampling:   res.Sampling,
+	}
+}
+
+// Verified reports whether the record's key still derives from its stored
+// components, the sampling policy included. A record that fails (a stale
+// hash version, a hand-edited file) must be discarded so its job re-runs
+// rather than reusing a wrong result.
+func (r *StoredRecord) Verified() bool {
+	var pol *sampling.Policy
+	if r.Sampling != nil {
+		pol = &r.Sampling.Policy
+	}
+	return jobKey(r.Machine, r.Workloads, r.Warmup, r.Measure, pol) == r.Key
+}
+
+// Stored returns the record's reusable payload.
+func (r *StoredRecord) Stored() Stored { return Stored{Stats: r.Stats, Sampling: r.Sampling} }

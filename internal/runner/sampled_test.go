@@ -62,11 +62,19 @@ func TestSampledKeyDivergesFromFull(t *testing.T) {
 	if k2, _ := sampledTestJob().Key(); k2 != sampled {
 		t.Error("sampled key not deterministic")
 	}
-	if DeriveSampledJobKey(j.Machine.Hash(), []string{j.Workloads[0].Hash()}, j.Warmup, j.Measure, j.Sampling) != sampled {
-		t.Error("DeriveSampledJobKey disagrees with Job.Key")
+	// A stored record re-derives the key Job.Key gave, and the policy is
+	// part of that derivation.
+	rec := NewStoredRecord(sampled, Result{Job: j, Sampling: &sampling.Outcome{Policy: *j.Sampling}})
+	if !rec.Verified() {
+		t.Error("a sampled record does not re-derive Job.Key")
 	}
-	if DeriveSampledJobKey(j.Machine.Hash(), []string{j.Workloads[0].Hash()}, j.Warmup, j.Measure, nil) != fullKey {
-		t.Error("DeriveSampledJobKey(nil policy) disagrees with the full-run key")
+	rec.Sampling = nil
+	if rec.Verified() {
+		t.Error("a sampled key verified without its policy")
+	}
+	rec.Key = fullKey
+	if !rec.Verified() {
+		t.Error("a full-run record does not re-derive the full-run key")
 	}
 }
 
