@@ -29,8 +29,8 @@ import (
 // Spec describes one simulated machine as data. The zero value is not a
 // valid machine; start from Default() and mutate. Every field is
 // JSON-serializable and folded into Hash(); the runtime-only sim.Config hooks
-// (OnISTLBMiss, Probe) deliberately have no counterpart here — they are
-// attached per run, not part of the machine's identity.
+// (OnISTLBMiss, OnProgress, Probe) deliberately have no counterpart here —
+// they are attached per run, not part of the machine's identity.
 type Spec struct {
 	// Seed drives the OS frame allocator.
 	Seed int64 `json:"seed"`

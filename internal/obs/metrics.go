@@ -61,16 +61,12 @@ func formatValue(v float64) string {
 
 // handleMetrics serves GET /metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	now := time.Now()
-	live, threshold := s.liveJobs(now)
-
+	st := s.status(time.Now())
 	s.mu.Lock()
 	s.scrapes++
 	scrapes := s.scrapes
-	total, done, failed := s.totalJobs, s.doneJobs, s.failedJobs
-	doneInstr, doneElapsed := s.doneInstr, s.doneElapsed
-	eta := s.eta(now)
-	elapsed := now.Sub(s.started).Seconds()
+	jobSeconds := s.doneElapsed
+	sampledRuns, sampledTimed, sampledFF := s.sampledRuns, s.sampledTimed, s.sampledFF
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -78,46 +74,47 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Campaign progress.
 	p.metric("morrigan_campaign_jobs", "Jobs scheduled across all campaigns so far.", "gauge")
-	p.sample("morrigan_campaign_jobs", nil, float64(total))
+	p.sample("morrigan_campaign_jobs", nil, float64(st.JobsTotal))
 	p.metric("morrigan_campaign_jobs_done_total", "Jobs completed (including failures).", "counter")
-	p.sample("morrigan_campaign_jobs_done_total", nil, float64(done))
+	p.sample("morrigan_campaign_jobs_done_total", nil, float64(st.JobsDone))
 	p.metric("morrigan_campaign_jobs_failed_total", "Jobs that failed, panicked, timed out or were cancelled.", "counter")
-	p.sample("morrigan_campaign_jobs_failed_total", nil, float64(failed))
+	p.sample("morrigan_campaign_jobs_failed_total", nil, float64(st.JobsFailed))
 	p.metric("morrigan_campaign_eta_seconds", "Estimated seconds until the campaign completes (0 until one job has simulated).", "gauge")
-	p.sample("morrigan_campaign_eta_seconds", nil, eta)
+	p.sample("morrigan_campaign_eta_seconds", nil, st.ETASeconds)
 	p.metric("morrigan_campaign_elapsed_seconds", "Seconds since the server attached.", "counter")
-	p.sample("morrigan_campaign_elapsed_seconds", nil, elapsed)
-
-	// Simulated-instruction throughput: finished jobs plus live progress, so
-	// the series is monotone non-decreasing across scrapes.
-	liveInstr := uint64(0)
-	for _, lj := range live {
-		liveInstr += lj.Instructions
-	}
-	p.metric("morrigan_campaign_instructions_total", "Simulated instructions executed (finished jobs plus live measured progress).", "counter")
-	p.sample("morrigan_campaign_instructions_total", nil, float64(doneInstr+liveInstr))
+	p.sample("morrigan_campaign_elapsed_seconds", nil, st.ElapsedSeconds)
+	p.metric("morrigan_campaign_instructions_total", "Instructions executed in timing detail, warmup included: finished jobs plus live jobs' latest totals.", "counter")
+	p.sample("morrigan_campaign_instructions_total", nil, float64(st.Instructions))
 	p.metric("morrigan_campaign_job_seconds_total", "Summed wall-clock seconds of finished jobs.", "counter")
-	p.sample("morrigan_campaign_job_seconds_total", nil, doneElapsed)
+	p.sample("morrigan_campaign_job_seconds_total", nil, jobSeconds)
 
-	// Per-job live gauges, scraped from each probe's atomic snapshot.
+	// Per-job live gauges, from each job's latest progress report.
 	perJob := []struct {
 		name, help string
 		value      func(liveJob) float64
 	}{
-		{"morrigan_job_instructions", "Instructions retired in the job's measurement interval so far.", func(j liveJob) float64 { return float64(j.Instructions) }},
-		{"morrigan_job_cycles", "Simulated cycles in the job's measurement interval so far.", func(j liveJob) float64 { return float64(j.Cycles) }},
-		{"morrigan_job_ipc", "Cumulative simulated IPC of the measurement interval.", func(j liveJob) float64 { return j.IPC }},
-		{"morrigan_job_istlb_mpki", "Cumulative iSTLB misses per kilo-instruction.", func(j liveJob) float64 { return j.ISTLBMPKI }},
-		{"morrigan_job_dstlb_mpki", "Cumulative dSTLB misses per kilo-instruction.", func(j liveJob) float64 { return j.DSTLBMPKI }},
-		{"morrigan_job_pb_hit_rate", "Fraction of iSTLB misses served by the prefetch buffer.", func(j liveJob) float64 { return j.PBHitRate }},
-		{"morrigan_job_instr_per_second", "Simulation throughput: measured instructions per wall-clock second.", func(j liveJob) float64 { return j.InstrPerSec }},
+		{"morrigan_job_instructions", "Instructions the job has executed in timing detail so far, warmup included.", func(j liveJob) float64 { return float64(j.Instructions) }},
+		{"morrigan_job_cycles", "Simulated cycles in the job's current measurement interval.", func(j liveJob) float64 { return float64(j.Cycles) }},
+		{"morrigan_job_ipc", "Simulated IPC of the current measurement interval.", func(j liveJob) float64 { return j.IPC }},
+		{"morrigan_job_istlb_mpki", "iSTLB misses per kilo-instruction in the current measurement interval.", func(j liveJob) float64 { return j.ISTLBMPKI }},
+		{"morrigan_job_dstlb_mpki", "dSTLB misses per kilo-instruction in the current measurement interval.", func(j liveJob) float64 { return j.DSTLBMPKI }},
+		{"morrigan_job_pb_hit_rate", "Fraction of the current measurement interval's iSTLB misses served by the prefetch buffer.", func(j liveJob) float64 { return j.PBHitRate }},
+		{"morrigan_job_instr_per_second", "Simulation throughput: executed instructions per wall-clock second.", func(j liveJob) float64 { return j.InstrPerSec }},
 	}
 	for _, m := range perJob {
 		p.metric(m.name, m.help, "gauge")
-		for _, lj := range live {
+		for _, lj := range st.Active {
 			p.sample(m.name, map[string]string{"job": lj.Name, "index": fmt.Sprintf("%d", lj.Index)}, m.value(lj))
 		}
 	}
+
+	// Sampled execution, counted from finished results that simulated.
+	p.metric("morrigan_sampling_runs_total", "Sampled jobs simulated (not reused) in observed campaigns.", "counter")
+	p.sample("morrigan_sampling_runs_total", nil, float64(sampledRuns))
+	p.metric("morrigan_sampling_timed_instructions_total", "Instructions timing-simulated by sampled jobs, slice warmups included.", "counter")
+	p.sample("morrigan_sampling_timed_instructions_total", nil, float64(sampledTimed))
+	p.metric("morrigan_sampling_fastforwarded_instructions_total", "Instructions fast-forwarded functionally between the slices of sampled jobs.", "counter")
+	p.sample("morrigan_sampling_fastforwarded_instructions_total", nil, float64(sampledFF))
 
 	// Host self-profiling.
 	var ms runtime.MemStats
@@ -136,18 +133,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.sample("morrigan_scrapes_total", nil, float64(scrapes))
 
 	// Straggler detector and SSE back-pressure.
-	stragglers := 0
-	for _, lj := range live {
-		if lj.Straggler {
-			stragglers++
-		}
-	}
 	p.metric("morrigan_campaign_straggler_threshold_seconds", "Straggler cutoff: k x the running p95 of completed-job durations (0 while under-sampled).", "gauge")
-	p.sample("morrigan_campaign_straggler_threshold_seconds", nil, threshold)
+	p.sample("morrigan_campaign_straggler_threshold_seconds", nil, st.StragglerThresholdSeconds)
 	p.metric("morrigan_campaign_stragglers", "Active jobs whose running time exceeds the straggler threshold.", "gauge")
-	p.sample("morrigan_campaign_stragglers", nil, float64(stragglers))
+	p.sample("morrigan_campaign_stragglers", nil, float64(len(st.Stragglers)))
 	p.metric("morrigan_sse_dropped_events_total", "Events dropped on full /events subscriber queues.", "counter")
-	p.sample("morrigan_sse_dropped_events_total", nil, float64(s.hub.droppedTotal()))
+	p.sample("morrigan_sse_dropped_events_total", nil, float64(st.SSEDroppedEvents))
 
 	// Externally registered gauges (e.g. fabric coordinator and fleet state).
 	// Gauges sharing a name form one family: emit HELP/TYPE once, then every

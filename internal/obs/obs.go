@@ -4,23 +4,26 @@
 // running:
 //
 //   - GET /metrics — Prometheus text exposition: campaign progress (jobs
-//     done/failed, ETA), per-job live simulator gauges (instructions, cycles,
-//     IPC, iSTLB/dSTLB MPKI, PB hit rate, simulated instructions per second)
-//     scraped from each job's telemetry probe snapshot, and host
-//     self-profiling gauges (heap, GC, goroutines);
+//     done/failed, ETA, executed instructions), per-job live simulator gauges
+//     (instructions, cycles, IPC, iSTLB/dSTLB MPKI, PB hit rate, simulated
+//     instructions per second) from each job's latest progress report,
+//     sampled-run counters, and host self-profiling gauges (heap, GC,
+//     goroutines);
 //   - GET /campaign — the same state as one JSON document;
-//   - GET /events — a Server-Sent-Events stream of telemetry interval
-//     samples and job lifecycle transitions, in arrival order;
+//   - GET /events — a Server-Sent-Events stream of job progress reports
+//     and lifecycle transitions, in arrival order;
 //   - GET /healthz, /healthz/live — liveness; GET /healthz/ready —
 //     readiness (503 until a campaign attaches, or while any registered
 //     readiness check — e.g. journal writability — fails);
 //   - /debug/pprof/* — the standard Go profiler endpoints.
 //
-// The server is purely observational: it reads only the probes'
-// cross-goroutine snapshot surface (telemetry.Snapshot), so an attached
-// server leaves campaign results bit-identical to an unobserved run. When no
-// server is constructed (the -serve flag unset), none of this code runs at
-// all.
+// Every job the runner simulates, full or sampled, reports its counters
+// through one path: the simulator's progress hook (sim.Config.OnProgress)
+// calls Observer.JobProgress on the simulation goroutine, and the server
+// keeps each job's latest report. The server is purely observational — it
+// only copies the reported values — so an attached server leaves campaign
+// results bit-identical to an unobserved run. When no server is constructed
+// (the -serve flag unset), none of this code runs at all.
 package obs
 
 import (
@@ -35,7 +38,7 @@ import (
 	"time"
 
 	"morrigan/internal/runner"
-	"morrigan/internal/telemetry"
+	"morrigan/internal/sim"
 )
 
 // statusSchemaVersion identifies the /campaign JSON document's schema. It is
@@ -62,10 +65,50 @@ const DefaultStragglerK = 3.0
 
 // jobState tracks one campaign job from JobStarted to JobFinished.
 type jobState struct {
-	index   int
-	name    string
-	started time.Time
-	probe   *telemetry.Probe
+	index    int
+	name     string
+	started  time.Time
+	counters jobCounters // latest progress report
+	reports  int         // progress reports received
+}
+
+// jobCounters is one job's latest progress report as /metrics, /campaign and
+// the SSE stream show it. Instructions (the figure Result.SimInstructions
+// reports) and FastForwarded are the simulator's never-reset totals; the
+// other fields cover the current measurement interval, so they restart at
+// the warmup/measure boundary.
+type jobCounters struct {
+	Instructions         uint64  `json:"instructions"`
+	FastForwarded        uint64  `json:"fast_forwarded"`
+	MeasuredInstructions uint64  `json:"measured_instructions"`
+	Cycles               uint64  `json:"cycles"`
+	IPC                  float64 `json:"ipc"`
+	ISTLBMPKI            float64 `json:"istlb_mpki"`
+	DSTLBMPKI            float64 `json:"dstlb_mpki"`
+	PBHitRate            float64 `json:"pb_hit_rate"`
+}
+
+// newJobCounters derives the scrape view of one progress report.
+func newJobCounters(p sim.Progress) jobCounters {
+	c := p.Counters
+	jc := jobCounters{
+		Instructions:         p.Executed,
+		FastForwarded:        p.FastForwarded,
+		MeasuredInstructions: c.Instructions,
+		Cycles:               uint64(c.Cycles),
+	}
+	if c.Cycles > 0 {
+		jc.IPC = float64(c.Instructions) / float64(c.Cycles)
+	}
+	if c.Instructions > 0 {
+		ki := float64(c.Instructions) / 1000
+		jc.ISTLBMPKI = float64(c.ISTLBMisses) / ki
+		jc.DSTLBMPKI = float64(c.DSTLBMisses) / ki
+	}
+	if c.ISTLBMisses > 0 {
+		jc.PBHitRate = float64(c.PBHits) / float64(c.ISTLBMisses)
+	}
+	return jc
 }
 
 // finishedJob is the bounded post-completion record kept for /campaign.
@@ -92,6 +135,10 @@ type Server struct {
 	failedJobs   int
 	doneInstr    uint64  // executed instructions of finished jobs
 	doneElapsed  float64 // summed wall seconds of finished jobs
+
+	// Sampled jobs simulated (not reused) and their timed and
+	// fast-forwarded instructions, from finished results.
+	sampledRuns, sampledTimed, sampledFF uint64
 
 	active map[int]*jobState // live jobs of the current campaign, by index
 	recent []finishedJob     // trailing window of finished jobs
@@ -185,22 +232,29 @@ func (s *Server) CampaignStarted(total int) {
 	s.mu.Unlock()
 }
 
-// JobStarted registers a live job and hooks its probe's sample stream into
-// the SSE hub. Called on the job's worker goroutine before the simulation
-// starts, the only point where the probe's single-goroutine surface may be
-// touched from here.
-func (s *Server) JobStarted(index int, job runner.Job, probe *telemetry.Probe) {
+// JobStarted registers a live job.
+func (s *Server) JobStarted(index int, job runner.Job) {
 	name := job.Name()
-	probe.SetSampleListener(func(is telemetry.IntervalSample) {
-		s.hub.publish(event{
-			Type: "sample",
-			Data: sampleEvent{Job: name, Index: index, Sample: is},
-		})
-	})
 	s.mu.Lock()
-	s.active[index] = &jobState{index: index, name: name, started: time.Now(), probe: probe}
+	s.active[index] = &jobState{index: index, name: name, started: time.Now()}
 	s.mu.Unlock()
 	s.hub.publish(event{Type: "job", Data: jobEvent{Job: name, Index: index, State: "started"}})
+}
+
+// JobProgress keeps a live job's latest counters and publishes them as a
+// "progress" event. Reports for jobs not started here are ignored.
+func (s *Server) JobProgress(index int, p sim.Progress) {
+	c := newJobCounters(p)
+	s.mu.Lock()
+	st, ok := s.active[index]
+	if ok {
+		st.counters = c
+		st.reports++
+	}
+	s.mu.Unlock()
+	if ok {
+		s.hub.publish(event{Type: "progress", Data: progressEvent{Job: st.name, Index: index, jobCounters: c}})
+	}
 }
 
 // JobFinished retires a live job into the aggregate counters and the bounded
@@ -229,6 +283,11 @@ func (s *Server) JobFinished(index int, res runner.Result) {
 	}
 	s.doneInstr += res.SimInstructions
 	s.doneElapsed += res.Elapsed.Seconds()
+	if res.Sampling != nil && res.Reused == "" {
+		s.sampledRuns++
+		s.sampledTimed += res.Sampling.TimedInstructions
+		s.sampledFF += res.Sampling.FastForwarded
+	}
 	if res.Err == nil && res.Elapsed > 0 {
 		s.durations = append(s.durations, res.Elapsed.Seconds())
 		if len(s.durations) > maxDurations {
@@ -255,18 +314,14 @@ func (s *Server) eta(now time.Time) float64 {
 
 // liveJob is one active job's scrape view.
 type liveJob struct {
-	Index        int     `json:"index"`
-	Name         string  `json:"name"`
-	RunningSecs  float64 `json:"running_seconds"`
-	Instructions uint64  `json:"instructions"`
-	Cycles       uint64  `json:"cycles"`
-	IPC          float64 `json:"ipc"`
-	ISTLBMPKI    float64 `json:"istlb_mpki"`
-	DSTLBMPKI    float64 `json:"dstlb_mpki"`
-	PBHitRate    float64 `json:"pb_hit_rate"`
-	InstrPerSec  float64 `json:"instr_per_sec"`
-	Samples      int     `json:"samples"`
-	Straggler    bool    `json:"straggler,omitempty"`
+	Index       int     `json:"index"`
+	Name        string  `json:"name"`
+	RunningSecs float64 `json:"running_seconds"`
+	jobCounters
+	InstrPerSec float64 `json:"instr_per_sec"`
+	// Samples counts the progress reports received so far.
+	Samples   int  `json:"samples"`
+	Straggler bool `json:"straggler,omitempty"`
 }
 
 // stragglerThresholdLocked computes the current straggler cutoff: k× the p95
@@ -289,65 +344,6 @@ func (s *Server) stragglerThresholdLocked() float64 {
 	return DefaultStragglerK * ds[idx]
 }
 
-// liveJobs snapshots the active jobs (probe snapshots are read without
-// holding s.mu beyond the map walk; Snapshot is lock-free) and applies the
-// straggler detector: a job whose running time exceeds the returned threshold
-// is marked, and announced once on the SSE stream the first time it crosses.
-func (s *Server) liveJobs(now time.Time) ([]liveJob, float64) {
-	s.mu.Lock()
-	states := make([]*jobState, 0, len(s.active))
-	for _, st := range s.active {
-		states = append(states, st)
-	}
-	threshold := s.stragglerThresholdLocked()
-	s.mu.Unlock()
-
-	var announce []stragglerEvent
-	jobs := make([]liveJob, 0, len(states))
-	for _, st := range states {
-		lj := liveJob{Index: st.index, Name: st.name, RunningSecs: now.Sub(st.started).Seconds()}
-		if snap, ok := st.probe.Snapshot(); ok {
-			lj.Instructions = snap.Cum.Instructions
-			lj.Cycles = uint64(snap.Cum.Cycles)
-			lj.IPC = snap.IPC()
-			lj.ISTLBMPKI = snap.ISTLBMPKI()
-			lj.DSTLBMPKI = snap.DSTLBMPKI()
-			lj.PBHitRate = snap.PBHitRate()
-			lj.Samples = snap.Seq
-			if lj.RunningSecs > 0 {
-				lj.InstrPerSec = float64(snap.Cum.Instructions) / lj.RunningSecs
-			}
-		}
-		if threshold > 0 && lj.RunningSecs > threshold {
-			lj.Straggler = true
-		}
-		jobs = append(jobs, lj)
-	}
-
-	s.mu.Lock()
-	for _, lj := range jobs {
-		if lj.Straggler && !s.flagged[lj.Index] {
-			// Only announce jobs still active: a job that finished between
-			// the two lock windows already cleared its flag.
-			if _, ok := s.active[lj.Index]; ok {
-				s.flagged[lj.Index] = true
-				announce = append(announce, stragglerEvent{
-					Job:              lj.Name,
-					Index:            lj.Index,
-					RunningSeconds:   lj.RunningSecs,
-					ThresholdSeconds: threshold,
-				})
-			}
-		}
-	}
-	s.mu.Unlock()
-
-	for _, ev := range announce {
-		s.hub.publish(event{Type: "straggler", Data: ev})
-	}
-	return jobs, threshold
-}
-
 // campaignStatus is the /campaign JSON document.
 type campaignStatus struct {
 	Schema         int     `json:"schema"`
@@ -357,7 +353,9 @@ type campaignStatus struct {
 	JobsActive     int     `json:"jobs_active"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	ETASeconds     float64 `json:"eta_seconds"`
-	Instructions   uint64  `json:"instructions"`
+	// Instructions counts executed instructions: finished jobs' plus live
+	// jobs' latest totals. It never decreases.
+	Instructions uint64 `json:"instructions"`
 	// StragglerThresholdSeconds is the current straggler cutoff (k× the
 	// running p95 of completed-job durations; 0 while under-sampled), and
 	// Stragglers names the active jobs beyond it.
@@ -370,12 +368,14 @@ type campaignStatus struct {
 	Recent           []finishedJob `json:"recent"`
 }
 
-// handleCampaign serves the live JSON status.
-func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	now := time.Now()
-	live, threshold := s.liveJobs(now)
-
+// status reads the campaign state under one lock, so the finished and live
+// instruction counts come from one instant and their sum never goes
+// backwards between scrapes. It also applies the straggler detector: an
+// active job whose running time exceeds the threshold is marked, and
+// announced once on the SSE stream the first time it crosses.
+func (s *Server) status(now time.Time) campaignStatus {
 	s.mu.Lock()
+	threshold := s.stragglerThresholdLocked()
 	st := campaignStatus{
 		Schema:                    statusSchemaVersion,
 		JobsTotal:                 s.totalJobs,
@@ -388,17 +388,48 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		StragglerThresholdSeconds: threshold,
 		Stragglers:                []string{},
 		SSEDroppedEvents:          s.hub.droppedTotal(),
+		Active:                    make([]liveJob, 0, len(s.active)),
 		Recent:                    append([]finishedJob(nil), s.recent...),
+	}
+	var announce []stragglerEvent
+	for _, js := range s.active {
+		lj := liveJob{
+			Index:       js.index,
+			Name:        js.name,
+			RunningSecs: now.Sub(js.started).Seconds(),
+			jobCounters: js.counters,
+			Samples:     js.reports,
+		}
+		if lj.RunningSecs > 0 {
+			lj.InstrPerSec = float64(lj.Instructions) / lj.RunningSecs
+		}
+		if threshold > 0 && lj.RunningSecs > threshold {
+			lj.Straggler = true
+			st.Stragglers = append(st.Stragglers, lj.Name)
+			if !s.flagged[lj.Index] {
+				s.flagged[lj.Index] = true
+				announce = append(announce, stragglerEvent{
+					Job:              lj.Name,
+					Index:            lj.Index,
+					RunningSeconds:   lj.RunningSecs,
+					ThresholdSeconds: threshold,
+				})
+			}
+		}
+		st.Instructions += lj.Instructions
+		st.Active = append(st.Active, lj)
 	}
 	s.mu.Unlock()
 
-	st.Active = live
-	for _, lj := range live {
-		st.Instructions += lj.Instructions
-		if lj.Straggler {
-			st.Stragglers = append(st.Stragglers, lj.Name)
-		}
+	for _, ev := range announce {
+		s.hub.publish(event{Type: "straggler", Data: ev})
 	}
+	return st
+}
+
+// handleCampaign serves the live JSON status.
+func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
+	st := s.status(time.Now())
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

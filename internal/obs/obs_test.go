@@ -14,9 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"morrigan/internal/arch"
 	"morrigan/internal/core"
 	"morrigan/internal/machine"
 	"morrigan/internal/runner"
+	"morrigan/internal/sampling"
+	"morrigan/internal/sim"
 	"morrigan/internal/telemetry"
 	"morrigan/internal/workloads"
 )
@@ -155,30 +158,48 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestPerJobGauges drives the observer surface directly with a hand-fed probe
-// and asserts the per-job series and their label sets appear while the job is
-// active and disappear after it finishes.
+// progress builds one progress report: executed instructions in total and
+// the measured counters since the last stats reset.
+func progress(executed, instr, cycles, istlbMisses, dstlbMisses, pbHits uint64) sim.Progress {
+	return sim.Progress{
+		Counters: telemetry.Sample{
+			Instructions: instr, Cycles: arch.Cycle(cycles),
+			ISTLBMisses: istlbMisses, DSTLBMisses: dstlbMisses, PBHits: pbHits,
+		},
+		Executed: executed,
+	}
+}
+
+// scrape parses one /metrics exposition.
+func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	vals, err := ParseExposition(strings.NewReader(string(get(t, ts, "/metrics"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vals
+}
+
+// TestPerJobGauges drives the observer surface directly with hand-made
+// progress reports and asserts the per-job series and their label sets
+// appear while the job is active and disappear after it finishes.
 func TestPerJobGauges(t *testing.T) {
 	srv := New()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	job := runner.Job{Experiment: "obs", Config: "live", Workload: "wl-1"}
-	probe := telemetry.NewProbe(telemetry.Config{EventBuffer: -1})
 	srv.CampaignStarted(1)
-	srv.JobStarted(0, job, probe)
-	probe.RecordSample(telemetry.Sample{
-		Instructions: 200_000, Cycles: 100_000,
-		ISTLBMisses: 400, DSTLBMisses: 100, PBHits: 100,
-	})
+	srv.JobStarted(0, job)
+	srv.JobProgress(0, progress(220_000, 200_000, 100_000, 400, 100, 100))
 
-	vals, err := ParseExposition(strings.NewReader(string(get(t, ts, "/metrics"))))
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals := scrape(t, ts)
 	series := `{index="0",job="obs/live/wl-1"}`
-	if got := vals["morrigan_job_instructions"+series]; got != 200_000 {
-		t.Errorf("job instructions = %v, want 200000", got)
+	if got := vals["morrigan_job_instructions"+series]; got != 220_000 {
+		t.Errorf("job instructions = %v, want the executed 220000", got)
+	}
+	if got := vals["morrigan_job_cycles"+series]; got != 100_000 {
+		t.Errorf("job cycles = %v, want 100000", got)
 	}
 	if got := vals["morrigan_job_ipc"+series]; got != 2 {
 		t.Errorf("job ipc = %v, want 2", got)
@@ -194,15 +215,82 @@ func TestPerJobGauges(t *testing.T) {
 	}
 
 	srv.JobFinished(0, runner.Result{Job: job, SimInstructions: 250_000})
-	vals, err = ParseExposition(strings.NewReader(string(get(t, ts, "/metrics"))))
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals = scrape(t, ts)
 	if _, ok := vals["morrigan_job_instructions"+series]; ok {
 		t.Error("per-job series still exposed after JobFinished")
 	}
 	if got := vals["morrigan_campaign_instructions_total"]; got != 250_000 {
 		t.Errorf("instructions_total = %v, want the finished job's 250000", got)
+	}
+}
+
+// TestInstructionsTotalAcrossReset drives one job's progress across its
+// warmup/measure boundary, where the measured counters restart, and then
+// finishes it. morrigan_campaign_instructions_total follows the executed
+// total: it never decreases and ends at the result's SimInstructions.
+func TestInstructionsTotalAcrossReset(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	job := runner.Job{Experiment: "obs", Config: "reset", Workload: "wl-2"}
+	series := `{index="0",job="obs/reset/wl-2"}`
+	srv.CampaignStarted(1)
+	srv.JobStarted(0, job)
+	steps := []struct {
+		p          sim.Progress
+		wantCycles float64
+	}{
+		{progress(65_536, 65_536, 90_000, 0, 0, 0), 90_000},
+		{progress(100_000, 100_000, 140_000, 0, 0, 0), 140_000}, // end of warmup
+		{progress(165_536, 65_536, 80_000, 0, 0, 0), 80_000},    // measured counters restarted
+		{progress(300_000, 200_000, 250_000, 0, 0, 0), 250_000}, // end of measurement
+	}
+	last := 0.0
+	for i, step := range steps {
+		srv.JobProgress(0, step.p)
+		vals := scrape(t, ts)
+		got := vals["morrigan_campaign_instructions_total"]
+		if got < last {
+			t.Errorf("step %d: instructions_total fell from %v to %v", i, last, got)
+		}
+		if got != float64(step.p.Executed) {
+			t.Errorf("step %d: instructions_total = %v, want the executed %d", i, got, step.p.Executed)
+		}
+		if c := vals["morrigan_job_cycles"+series]; c != step.wantCycles {
+			t.Errorf("step %d: job cycles = %v, want %v", i, c, step.wantCycles)
+		}
+		last = got
+	}
+	srv.JobFinished(0, runner.Result{Job: job, SimInstructions: 300_000})
+	if got := scrape(t, ts)["morrigan_campaign_instructions_total"]; got != 300_000 {
+		t.Errorf("instructions_total after JobFinished = %v, want SimInstructions 300000", got)
+	}
+}
+
+// TestSamplingRunCounters checks the morrigan_sampling_* run counters count
+// finished sampled results that simulated, and ignore reused and full-run
+// ones.
+func TestSamplingRunCounters(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	out := &sampling.Outcome{TimedInstructions: 100, FastForwarded: 900}
+	srv.CampaignStarted(4)
+	srv.JobFinished(0, runner.Result{Sampling: out})
+	srv.JobFinished(1, runner.Result{Sampling: out})
+	srv.JobFinished(2, runner.Result{Sampling: out, Reused: runner.ReusedStore})
+	srv.JobFinished(3, runner.Result{SimInstructions: 5_000})
+	vals := scrape(t, ts)
+	for name, want := range map[string]float64{
+		"morrigan_sampling_runs_total":                       2,
+		"morrigan_sampling_timed_instructions_total":         200,
+		"morrigan_sampling_fastforwarded_instructions_total": 1_800,
+	} {
+		if got := vals[name]; got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
 }
 

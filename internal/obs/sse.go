@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-
-	"morrigan/internal/telemetry"
 )
 
 // subscriberBuffer is each /events client's queue depth. Publishing never
@@ -21,12 +19,12 @@ type event struct {
 	Data any
 }
 
-// sampleEvent is the payload of "sample" events: one telemetry interval
-// sample, tagged with the producing job.
-type sampleEvent struct {
-	Job    string                   `json:"job"`
-	Index  int                      `json:"index"`
-	Sample telemetry.IntervalSample `json:"sample"`
+// progressEvent is the payload of "progress" events: one job's latest
+// counters, as the simulator reported them.
+type progressEvent struct {
+	Job   string `json:"job"`
+	Index int    `json:"index"`
+	jobCounters
 }
 
 // jobEvent is the payload of "job" events: a lifecycle transition.
@@ -53,8 +51,8 @@ type subscriber struct {
 }
 
 // hub fans events out to subscribers. publish is called from simulation
-// worker goroutines (via probe sample listeners) and must stay cheap: one
-// mutex acquisition and non-blocking channel sends.
+// worker goroutines (via Server.JobProgress) and must stay cheap: one mutex
+// acquisition and non-blocking channel sends.
 type hub struct {
 	mu      sync.Mutex
 	subs    map[*subscriber]struct{}
@@ -130,9 +128,9 @@ func (h *hub) close() {
 }
 
 // handleEvents serves GET /events as a Server-Sent-Events stream. Each
-// message carries an incrementing "id:", an "event:" type ("sample" or
-// "job") and a JSON "data:" payload; the stream runs until the client
-// disconnects or the server closes.
+// message carries an incrementing "id:", an "event:" type ("progress",
+// "job" or "straggler") and a JSON "data:" payload; the stream runs until
+// the client disconnects or the server closes.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {

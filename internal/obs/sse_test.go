@@ -12,11 +12,10 @@ import (
 	"time"
 
 	"morrigan/internal/runner"
-	"morrigan/internal/telemetry"
+	"morrigan/internal/sim"
 )
 
-// sseClient subscribes to /events and collects decoded messages until the
-// body closes or wantSamples "sample" events have arrived.
+// sseMsg is one decoded /events message.
 type sseMsg struct {
 	ID    string
 	Event string
@@ -64,9 +63,9 @@ func readSSE(t *testing.T, ts *httptest.Server, ctx context.Context, out chan<- 
 	close(out)
 }
 
-// TestSSESampleOrder feeds a probe from a producer goroutine while a real
-// HTTP client consumes /events, asserting every interval sample arrives, in
-// recording order, under -race.
+// TestSSESampleOrder reports progress from a producer goroutine while a real
+// HTTP client consumes /events, asserting every "progress" event arrives, in
+// reporting order, under -race.
 func TestSSESampleOrder(t *testing.T) {
 	srv := New()
 	ts := httptest.NewServer(srv.Handler())
@@ -88,35 +87,34 @@ func TestSSESampleOrder(t *testing.T) {
 
 	const n = 100
 	job := runner.Job{Experiment: "obs", Config: "sse", Workload: "wl-0"}
-	probe := telemetry.NewProbe(telemetry.Config{EventBuffer: -1})
 	srv.CampaignStarted(1)
-	srv.JobStarted(0, job, probe)
+	srv.JobStarted(0, job)
 	go func() {
-		// The probe is single-goroutine; this goroutine is its sole owner
-		// after JobStarted, exactly like a simulation worker.
+		// Like a simulation worker: progress, then the finish, from one
+		// goroutine.
 		for i := 1; i <= n; i++ {
-			probe.RecordSample(telemetry.Sample{Instructions: uint64(i) * 1000})
+			srv.JobProgress(0, sim.Progress{Executed: uint64(i) * 1000})
 		}
 		srv.JobFinished(0, runner.Result{Job: job})
 	}()
 
-	var samples []telemetry.IntervalSample
+	var executed []uint64
 	finished := false
 	for m := range msgs {
 		switch m.Event {
-		case "sample":
-			var se struct {
-				Job    string                   `json:"job"`
-				Index  int                      `json:"index"`
-				Sample telemetry.IntervalSample `json:"sample"`
+		case "progress":
+			var pe struct {
+				Job          string `json:"job"`
+				Index        int    `json:"index"`
+				Instructions uint64 `json:"instructions"`
 			}
-			if err := json.Unmarshal([]byte(m.Data), &se); err != nil {
-				t.Fatalf("sample payload: %v", err)
+			if err := json.Unmarshal([]byte(m.Data), &pe); err != nil {
+				t.Fatalf("progress payload: %v", err)
 			}
-			if se.Job != "obs/sse/wl-0" || se.Index != 0 {
-				t.Fatalf("sample attribution: job=%q index=%d", se.Job, se.Index)
+			if pe.Job != "obs/sse/wl-0" || pe.Index != 0 {
+				t.Fatalf("progress attribution: job=%q index=%d", pe.Job, pe.Index)
 			}
-			samples = append(samples, se.Sample)
+			executed = append(executed, pe.Instructions)
 		case "job":
 			var je struct {
 				State string `json:"state"`
@@ -133,18 +131,14 @@ func TestSSESampleOrder(t *testing.T) {
 	wg.Wait()
 
 	if !finished {
-		t.Fatalf("stream ended without the job's finished event after %d samples: %v", len(samples), ctx.Err())
+		t.Fatalf("stream ended without the job's finished event after %d progress events: %v", len(executed), ctx.Err())
 	}
-
-	if len(samples) != n {
-		t.Fatalf("received %d samples, want %d (buffer %d should not drop at this rate)", len(samples), n, subscriberBuffer)
+	if len(executed) != n {
+		t.Fatalf("received %d progress events, want %d (buffer %d should not drop at this rate)", len(executed), n, subscriberBuffer)
 	}
-	for i, s := range samples {
-		if s.Seq != i {
-			t.Fatalf("sample %d out of order: seq %d", i, s.Seq)
-		}
-		if s.Instructions != uint64(i+1)*1000 {
-			t.Fatalf("sample %d: instructions %d, want %d", i, s.Instructions, (i+1)*1000)
+	for i, e := range executed {
+		if e != uint64(i+1)*1000 {
+			t.Fatalf("progress event %d: instructions %d, want %d", i, e, (i+1)*1000)
 		}
 	}
 }
@@ -156,7 +150,7 @@ func TestSSESlowClientDoesNotBlock(t *testing.T) {
 	sub, cancel := h.subscribe()
 	defer cancel()
 	for i := 0; i < subscriberBuffer*3; i++ {
-		h.publish(event{Type: "sample", Data: i}) // must never block
+		h.publish(event{Type: "progress", Data: i}) // must never block
 	}
 	if sub.dropped == 0 {
 		t.Error("expected drops for an undrained subscriber")
@@ -181,7 +175,7 @@ func TestHubCloseDisconnectsSubscribers(t *testing.T) {
 	if _, ok := <-sub.ch; ok {
 		t.Error("subscriber channel still open after hub close")
 	}
-	h.publish(event{Type: "sample"}) // must not panic on closed hub
+	h.publish(event{Type: "progress"}) // must not panic on closed hub
 	if s2, _ := h.subscribe(); s2 != nil {
 		if _, ok := <-s2.ch; ok {
 			t.Error("post-close subscriber got a live channel")

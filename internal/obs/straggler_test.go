@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"morrigan/internal/runner"
-	"morrigan/internal/telemetry"
 )
 
 // finishQuickJobs retires n successful jobs with the given elapsed time,
@@ -16,8 +15,7 @@ import (
 func finishQuickJobs(srv *Server, n int, elapsed time.Duration) {
 	for i := 0; i < n; i++ {
 		job := runner.Job{Experiment: "obs", Config: "quick", Workload: "wl"}
-		probe := telemetry.NewProbe(telemetry.Config{EventBuffer: -1})
-		srv.JobStarted(1000+i, job, probe)
+		srv.JobStarted(1000+i, job)
 		srv.JobFinished(1000+i, runner.Result{Job: job, Elapsed: elapsed})
 	}
 }
@@ -37,7 +35,7 @@ func TestStragglerDetection(t *testing.T) {
 	finishQuickJobs(srv, stragglerMinSamples, time.Millisecond)
 
 	slow := runner.Job{Experiment: "obs", Config: "slow", Workload: "wl"}
-	srv.JobStarted(0, slow, telemetry.NewProbe(telemetry.Config{EventBuffer: -1}))
+	srv.JobStarted(0, slow)
 	// p95 of four 1ms jobs is 1ms; threshold = 3ms. Outlive it decisively.
 	time.Sleep(25 * time.Millisecond)
 
@@ -108,8 +106,7 @@ func TestStragglerUnderSampled(t *testing.T) {
 
 	srv.CampaignStarted(stragglerMinSamples)
 	finishQuickJobs(srv, stragglerMinSamples-1, time.Microsecond)
-	srv.JobStarted(0, runner.Job{Experiment: "obs", Config: "c", Workload: "w"},
-		telemetry.NewProbe(telemetry.Config{EventBuffer: -1}))
+	srv.JobStarted(0, runner.Job{Experiment: "obs", Config: "c", Workload: "w"})
 	time.Sleep(5 * time.Millisecond)
 
 	var st campaignStatus

@@ -3,26 +3,29 @@ package runner
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
-	"morrigan/internal/telemetry"
+	"morrigan/internal/sim"
 )
 
 // recordingObserver captures the hook sequence under the race detector.
 type recordingObserver struct {
 	mu       sync.Mutex
 	total    int
+	calls    map[int][]string // per job, "started", "progress" or "finished" in call order
 	started  map[int]string
-	probes   map[int]*telemetry.Probe
+	executed map[int][]uint64 // per job, the executed total of every JobProgress
 	finished map[int]Result
 }
 
 func newRecordingObserver() *recordingObserver {
 	return &recordingObserver{
+		calls:    map[int][]string{},
 		started:  map[int]string{},
-		probes:   map[int]*telemetry.Probe{},
+		executed: map[int][]uint64{},
 		finished: map[int]Result{},
 	}
 }
@@ -33,24 +36,36 @@ func (o *recordingObserver) CampaignStarted(total int) {
 	o.total = total
 }
 
-func (o *recordingObserver) JobStarted(index int, job Job, probe *telemetry.Probe) {
+func (o *recordingObserver) JobStarted(index int, job Job) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.calls[index] = append(o.calls[index], "started")
 	o.started[index] = job.Name()
-	o.probes[index] = probe
+}
+
+func (o *recordingObserver) JobProgress(index int, p sim.Progress) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.calls[index] = append(o.calls[index], "progress")
+	o.executed[index] = append(o.executed[index], p.Executed)
 }
 
 func (o *recordingObserver) JobFinished(index int, res Result) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.calls[index] = append(o.calls[index], "finished")
 	o.finished[index] = res
 }
 
-// TestObserverHooks checks the Observer sees every job exactly once, with a
-// live probe even when telemetry collection is off, and that an observer-only
-// campaign still fills the throughput accounting.
+// observedJobs is a small campaign of full-run jobs plus one sampled job.
+func observedJobs() []Job { return append(testJobs(4), sampledTestJob()) }
+
+// TestObserverHooks checks the Observer sees every job, full or sampled,
+// start once, report non-decreasing executed totals that end at the result's
+// SimInstructions, and finish once; and that an observer-only campaign still
+// fills the throughput accounting.
 func TestObserverHooks(t *testing.T) {
-	jobs := testJobs(4)
+	jobs := observedJobs()
 	obs := newRecordingObserver()
 	results, err := Run(context.Background(), jobs, Options{Workers: 2, Observer: obs})
 	if err != nil {
@@ -66,8 +81,10 @@ func TestObserverHooks(t *testing.T) {
 		if obs.started[i] != j.Name() {
 			t.Errorf("job %d: started as %q, want %q", i, obs.started[i], j.Name())
 		}
-		if obs.probes[i] == nil {
-			t.Errorf("job %d: JobStarted got a nil probe", i)
+		calls := obs.calls[i]
+		if n := len(calls); n < 3 || calls[0] != "started" || calls[n-1] != "finished" ||
+			slices.Contains(calls[1:n-1], "started") || slices.Contains(calls[1:n-1], "finished") {
+			t.Errorf("job %d: hook sequence %v, want started, progress..., finished", i, calls)
 		}
 		fin, ok := obs.finished[i]
 		if !ok {
@@ -77,8 +94,19 @@ func TestObserverHooks(t *testing.T) {
 		if fin.Err != nil {
 			t.Errorf("job %d: finished with error %v", i, fin.Err)
 		}
-		if want := j.Warmup + j.Measure; fin.SimInstructions != want {
-			t.Errorf("job %d: SimInstructions %d, want %d", i, fin.SimInstructions, want)
+		executed := obs.executed[i]
+		if !slices.IsSorted(executed) {
+			t.Errorf("job %d: executed totals decreased: %v", i, executed)
+		}
+		if n := len(executed); n == 0 || executed[n-1] != fin.SimInstructions {
+			t.Errorf("job %d: last executed total of %v, want the result's %d", i, executed, fin.SimInstructions)
+		}
+		if j.Sampling == nil {
+			if want := j.Warmup + j.Measure; fin.SimInstructions != want {
+				t.Errorf("job %d: SimInstructions %d, want %d", i, fin.SimInstructions, want)
+			}
+		} else if fin.Sampling == nil || fin.SimInstructions != fin.Sampling.TimedInstructions {
+			t.Errorf("job %d: sampled result %+v, want SimInstructions equal to its timed instructions", i, fin.Sampling)
 		}
 		if fin.InstrPerSec <= 0 {
 			t.Errorf("job %d: InstrPerSec %g, want > 0", i, fin.InstrPerSec)
@@ -94,9 +122,10 @@ func TestObserverHooks(t *testing.T) {
 }
 
 // TestObserverDoesNotChangeStats is the runner-level purity check: attaching
-// an observer must leave every job's statistics bit-identical.
+// an observer must leave every job's statistics, sampled ones included,
+// bit-identical.
 func TestObserverDoesNotChangeStats(t *testing.T) {
-	jobs := testJobs(4)
+	jobs := observedJobs()
 	plain, err := Run(context.Background(), jobs, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +135,7 @@ func TestObserverDoesNotChangeStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range jobs {
-		if !reflect.DeepEqual(plain[i].Stats, observed[i].Stats) {
+		if !reflect.DeepEqual(plain[i].Stats, observed[i].Stats) || !reflect.DeepEqual(plain[i].Sampling, observed[i].Sampling) {
 			t.Errorf("job %d: stats differ with an observer attached", i)
 		}
 	}

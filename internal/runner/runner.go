@@ -193,12 +193,11 @@ type Options struct {
 	// Progress, when non-nil, is called after every job completes (from a
 	// single goroutine at a time; it need not be re-entrant).
 	Progress ProgressFunc
-	// Telemetry, when non-nil, attaches a telemetry probe to every job and
-	// writes one JSONL file per job into Telemetry.Dir.
+	// Telemetry, when non-nil, attaches a telemetry probe to every full-run
+	// job and writes one JSONL file per job into Telemetry.Dir.
 	Telemetry *TelemetryOptions
-	// Observer, when non-nil, receives campaign lifecycle callbacks (see
-	// Observer); it also forces a telemetry probe onto every job so live
-	// counters are scrapeable, even when Telemetry is nil.
+	// Observer, when non-nil, receives campaign lifecycle callbacks and
+	// every running job's live counters (see Observer).
 	Observer Observer
 	// NewReader, when non-nil, builds each workload's instruction stream
 	// (e.g. from a materialised corpus) instead of the workload's live
@@ -252,18 +251,19 @@ func jobTraceID(key string, keyed bool, i int, j Job) string {
 
 // Observer receives campaign lifecycle notifications, the attach surface of
 // the live observability server (internal/obs). CampaignStarted is called
-// once per Run before any job launches; JobStarted and JobFinished are called
-// from worker goroutines (concurrently with each other) for every job that
-// simulates. Jobs served from the checkpoint journal or the result cache
-// never start a simulation, so they receive only JobFinished (with
+// once per Run before any job launches. Every job this process simulates,
+// full or sampled, gets JobStarted, then JobProgress with the simulator's
+// live counters (sim.Config.OnProgress: every 65,536 instructions and at the
+// end of each timed or functional run), then JobFinished. The three run on
+// the job's worker goroutine, concurrently with other jobs' calls, so
+// implementations must be safe for concurrent use; JobProgress runs inside
+// the simulation loop and must be fast. Jobs served from a reuse layer or
+// executed remotely receive only JobFinished (reused ones with
 // Result.Reused set).
-//
-// The probe passed to JobStarted is owned by the job's simulation goroutine:
-// an observer may only use its cross-goroutine surface — Snapshot(), and
-// SetSampleListener before the job starts running (i.e. during JobStarted).
 type Observer interface {
 	CampaignStarted(total int)
-	JobStarted(index int, job Job, probe *telemetry.Probe)
+	JobStarted(index int, job Job)
+	JobProgress(index int, p sim.Progress)
 	JobFinished(index int, res Result)
 }
 
@@ -501,8 +501,9 @@ func buildThreads(j Job, opt Options) ([]sim.ThreadSpec, error) {
 	return threads, nil
 }
 
-// execute runs job i with panic isolation, the per-job timeout, and an
-// optional per-job telemetry probe flushed to its own JSONL file.
+// execute runs job i with panic isolation, the per-job timeout, the
+// observer's live counters, and an optional per-job telemetry probe flushed
+// to its own JSONL file.
 func execute(ctx context.Context, i int, j Job, opt Options, trace string) (res Result) {
 	res.Job = j
 	if err := ctx.Err(); err != nil {
@@ -533,7 +534,7 @@ func execute(ctx context.Context, i int, j Job, opt Options, trace string) (res 
 			res.InstrPerSec = float64(res.SimInstructions) / secs
 		}
 		res.PeakHeapBytes = max(startHeap, heapAlloc())
-		if probe != nil && opt.Telemetry != nil {
+		if probe != nil {
 			// Flush whatever was collected — partial telemetry from a
 			// failed or cancelled job is still diagnostic data.
 			path, werr := opt.Telemetry.writeTelemetry(i, j, probe)
@@ -543,6 +544,7 @@ func execute(ctx context.Context, i int, j Job, opt Options, trace string) (res 
 			res.TelemetryPath = path
 		}
 		execSpan.Attr("ok", fmt.Sprint(res.Err == nil))
+		execSpan.AttrInt("instructions", int64(res.SimInstructions))
 		if res.Sampling != nil {
 			execSpan.AttrInt("sampled_slices", int64(res.Sampling.Slices))
 		}
@@ -558,12 +560,14 @@ func execute(ctx context.Context, i int, j Job, opt Options, trace string) (res 
 	if j.Instrument != nil {
 		j.Instrument(&cfg)
 	}
+	if opt.Observer != nil {
+		cfg.OnProgress = func(p sim.Progress) { opt.Observer.JobProgress(i, p) }
+		opt.Observer.JobStarted(i, j)
+	}
 	if j.Sampling != nil {
-		// Sampled execution gets no telemetry probe and no JobStarted: the
-		// run is a sequence of short warmup/measure slices, each of which
-		// would finish and reset a probe, so a per-job time series is
-		// undefined. The observer still receives JobFinished, exactly as it
-		// does for journal-reused jobs.
+		// Sampled execution gets no telemetry probe: the run is a sequence
+		// of short warmup/measure slices, each of which would finish and
+		// reset a probe, so a per-job time series is undefined.
 		st, outcome, serr := executeSampled(ctx, &s, cfg, j, opt, trace)
 		if serr != nil {
 			res.Err = fmt.Errorf("runner: %s: %w", j.Name(), serr)
@@ -573,21 +577,9 @@ func execute(ctx context.Context, i int, j Job, opt Options, trace string) (res 
 		res.Sampling = outcome
 		return res
 	}
-	switch {
-	case opt.Telemetry != nil:
+	if opt.Telemetry != nil {
 		probe = telemetry.NewProbe(opt.Telemetry.Config)
-	case opt.Observer != nil:
-		// Observer-only probes exist for live counter scraping; no JSONL is
-		// written, and the event ring would go unread, so it is disabled.
-		probe = telemetry.NewProbe(telemetry.Config{EventBuffer: -1})
-	}
-	if probe != nil {
 		cfg.Probe = probe
-		if opt.Observer != nil {
-			// Before the simulation starts: the observer may still touch the
-			// probe's single-goroutine surface (e.g. SetSampleListener) here.
-			opt.Observer.JobStarted(i, j, probe)
-		}
 	}
 	threadSpan := opt.Spans.Start(trace, "threads")
 	threads, err := buildThreads(j, opt)

@@ -71,10 +71,5 @@ func executeSampled(ctx context.Context, sp **sim.Simulator, cfg sim.Config, j J
 			return a.End
 		}
 	}
-	st, outcome, err := sampling.ExecuteTraced(ctx, s, j.Warmup, plan, pol, hook)
-	if err != nil {
-		return sim.Stats{}, nil, err
-	}
-	sampling.RecordOutcome(outcome)
-	return st, outcome, nil
+	return sampling.ExecuteTraced(ctx, s, j.Warmup, plan, pol, hook)
 }

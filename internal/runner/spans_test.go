@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -78,6 +79,9 @@ func TestTraceSpansCoverLifecycle(t *testing.T) {
 		exec := phases["execute"]
 		if exec.Attrs["ok"] != "true" {
 			t.Errorf("job %d: execute span ok attr = %q", i, exec.Attrs["ok"])
+		}
+		if want := fmt.Sprint(j.Warmup + j.Measure); exec.Attrs["instructions"] != want {
+			t.Errorf("job %d: execute span instructions attr = %q, want %s", i, exec.Attrs["instructions"], want)
 		}
 		for _, name := range []string{"build", "simulate"} {
 			sp := phases[name]

@@ -327,22 +327,6 @@ func TestProfileStoreBuildReuseAndCorruption(t *testing.T) {
 	}
 }
 
-func TestRecordOutcomeTotals(t *testing.T) {
-	before := Totals()
-	RecordOutcome(nil) // no-op
-	RecordOutcome(&Outcome{TimedInstructions: 100, FastForwarded: 900})
-	after := Totals()
-	if d := after.SampledRuns - before.SampledRuns; d != 1 {
-		t.Errorf("sampled runs advanced by %d, want 1", d)
-	}
-	if d := after.TimedInstructions - before.TimedInstructions; d != 100 {
-		t.Errorf("timed instructions advanced by %d, want 100", d)
-	}
-	if d := after.FastForwarded - before.FastForwarded; d != 900 {
-		t.Errorf("fast-forwarded advanced by %d, want 900", d)
-	}
-}
-
 // profileStoreModes opens the two kinds of ProfileStore: memory-only and
 // backed by a fresh directory.
 func profileStoreModes(t *testing.T) map[string]*ProfileStore {

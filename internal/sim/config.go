@@ -147,12 +147,30 @@ type Config struct {
 	// (used by the Section 3.3 characterisation figures).
 	OnISTLBMiss func(tid arch.ThreadID, vpn arch.VPN)
 
+	// OnProgress, when set, receives the run's live counters on the
+	// simulation goroutine, every 65,536 instructions and whenever a timed
+	// or functional run returns (see Progress). It observes only, and must
+	// be fast: it runs inside the record loop.
+	OnProgress func(Progress)
+
 	// Probe, when non-nil, attaches the telemetry observability layer:
 	// interval time-series samples, a prefetch-lifecycle/page-walk event
 	// trace and latency histograms (see internal/telemetry). Probes observe
 	// only — a run with a probe produces bit-identical Stats to one without.
 	// A probe belongs to exactly one simulator.
 	Probe *telemetry.Probe
+}
+
+// Progress is a running simulation's live counters, as Config.OnProgress
+// receives them.
+type Progress struct {
+	// Counters are the measured counters since the last stats reset; a
+	// warmup/measure boundary zeroes them.
+	Counters telemetry.Sample
+	// Executed and FastForwarded count the instructions run in timing
+	// detail and functionally since construction. They are never reset;
+	// Executed is the figure a runner result reports as SimInstructions.
+	Executed, FastForwarded uint64
 }
 
 // DefaultConfig mirrors Table 1: 128-entry 8-way I-TLB, 64-entry 4-way

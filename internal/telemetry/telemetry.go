@@ -16,11 +16,7 @@
 // JSON/CSV results.
 package telemetry
 
-import (
-	"sync/atomic"
-
-	"morrigan/internal/arch"
-)
+import "morrigan/internal/arch"
 
 // DefaultInterval is the sampling period, in retired instructions, used when
 // Config.Interval is zero.
@@ -66,9 +62,10 @@ type Sample struct {
 	ITLBMisses    uint64
 	ISTLBAccesses uint64
 	ISTLBMisses   uint64
-	// DSTLBAccesses and DSTLBMisses are carried for cross-goroutine
-	// observers (the observability server's dSTLB MPKI gauge); they are not
-	// differenced into IntervalSamples, so the JSONL schema is unchanged.
+	// DSTLBAccesses and DSTLBMisses are carried for the simulator's live
+	// progress reports (the observability server's dSTLB MPKI gauge); they
+	// are not differenced into IntervalSamples, so the JSONL schema is
+	// unchanged.
 	DSTLBAccesses uint64
 	DSTLBMisses   uint64
 	PBHits        uint64
@@ -155,11 +152,6 @@ type Probe struct {
 
 	pending   map[pendingKey]arch.Cycle
 	untracked uint64
-
-	// published is the cross-goroutine snapshot cell (see snapshot.go);
-	// listener, when set, observes every recorded interval sample.
-	published atomic.Pointer[Snapshot]
-	listener  func(IntervalSample)
 }
 
 // NewProbe builds a probe from cfg.
@@ -201,7 +193,6 @@ func (p *Probe) Reset() {
 		delete(p.pending, k)
 	}
 	p.untracked = 0
-	p.resetPublished()
 }
 
 // RecordSample closes one sampling interval: cum holds the simulator's
@@ -246,7 +237,6 @@ func (p *Probe) RecordSample(cum Sample) {
 	p.samples = append(p.samples, d)
 	p.base = cum
 	p.prev = p.cur
-	p.publish(cum, d)
 }
 
 // Finish closes the trailing partial interval at the end of measurement.

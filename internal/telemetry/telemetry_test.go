@@ -88,10 +88,13 @@ func TestEventRingOverwrite(t *testing.T) {
 }
 
 func TestEventTracingDisabled(t *testing.T) {
-	p := NewProbe(Config{EventBuffer: -1})
-	p.PrefetchIssued(0, 1, 2)
-	if ev, _ := p.Events(); ev != nil {
-		t.Fatalf("events recorded while disabled: %v", ev)
+	// Any negative ring capacity disables the event trace.
+	for _, capacity := range []int{-1, -DefaultEventBuffer} {
+		p := NewProbe(Config{EventBuffer: capacity})
+		p.PrefetchIssued(0, 1, 2)
+		if ev, _ := p.Events(); ev != nil {
+			t.Fatalf("EventBuffer %d: events recorded while disabled: %v", capacity, ev)
+		}
 	}
 }
 
@@ -198,7 +201,7 @@ func TestParseJSONLRejectsBadInput(t *testing.T) {
 }
 
 func TestPendingMapBounded(t *testing.T) {
-	p := NewProbe(Config{EventBuffer: -1})
+	p := NewProbe(DefaultConfig())
 	for i := 0; i < maxPending+100; i++ {
 		p.PrefetchInstalled(0, arch.VPN(i+1), 0, 0)
 	}

@@ -69,6 +69,9 @@ type (
 	Simulator = sim.Simulator
 	// ThreadSpec binds a hardware thread to an instruction stream.
 	ThreadSpec = sim.ThreadSpec
+	// Progress is a running simulation's live counters, as Config.OnProgress
+	// and CampaignObserver.JobProgress receive them.
+	Progress = sim.Progress
 	// PageTableKind selects the page-table organisation (Section 4.3).
 	PageTableKind = sim.PageTableKind
 )

@@ -8,13 +8,17 @@ import (
 // Live campaign observability (see internal/obs). An ObservabilityServer is a
 // CampaignObserver: attach it to CampaignOptions.Observer (or
 // ExperimentOptions.Observer) and it serves live Prometheus metrics, campaign
-// status JSON, a Server-Sent-Events stream of telemetry samples, and pprof —
-// all without perturbing results.
+// status JSON, a Server-Sent-Events stream of job progress, and pprof — all
+// without perturbing results. It needs no telemetry probe: every job, full
+// or sampled, reports its counters through the simulator's progress hook.
 type (
 	// CampaignObserver receives campaign lifecycle notifications:
-	// CampaignStarted, then per job JobStarted (on the worker goroutine,
-	// before the simulation constructs) and JobFinished. Implementations
-	// must be safe for concurrent use across workers.
+	// CampaignStarted, then for every job simulated in this process, full or
+	// sampled, JobStarted, JobProgress with the live counters (every 65,536
+	// instructions and at the end of each run) and JobFinished, all on the
+	// job's worker goroutine. Reused and remotely executed jobs get only
+	// JobFinished. Implementations must be safe for concurrent use across
+	// workers, and JobProgress must be fast.
 	CampaignObserver = runner.Observer
 	// ObservabilityServer is the HTTP observability server. Construct with
 	// NewObservabilityServer, attach as a CampaignObserver, then either

@@ -38,25 +38,19 @@ func OpenSamplingProfileStore(dir string) (*SamplingProfileStore, error) {
 	return sampling.OpenProfileStore(dir)
 }
 
-// SamplingGauges returns an observability gauge source publishing
-// process-wide sampling counters (sampled runs, timed vs fast-forwarded
-// instructions) plus, when profiles is non-nil, the profile store's
-// built/reused artifact counts. Wire it into an ObservabilityServer with
-// AddGaugeSource.
+// SamplingGauges returns an observability gauge source publishing the
+// profile store's built and reused artifact counts (nothing when profiles
+// is nil). Wire it into an ObservabilityServer with AddGaugeSource; the
+// server itself counts sampled runs and their timed and fast-forwarded
+// instructions from the campaign's results.
 func SamplingGauges(profiles *SamplingProfileStore) func() []obs.Gauge {
 	return func() []obs.Gauge {
-		t := sampling.Totals()
-		gs := []obs.Gauge{
-			{Name: "morrigan_sampling_runs_total", Help: "Sampled simulations completed by this process.", Value: float64(t.SampledRuns)},
-			{Name: "morrigan_sampling_timed_instructions_total", Help: "Instructions timing-simulated inside measured slices of sampled runs.", Value: float64(t.TimedInstructions)},
-			{Name: "morrigan_sampling_fastforwarded_instructions_total", Help: "Instructions fast-forwarded functionally between slices of sampled runs.", Value: float64(t.FastForwarded)},
+		if profiles == nil {
+			return nil
 		}
-		if profiles != nil {
-			gs = append(gs,
-				obs.Gauge{Name: "morrigan_sampling_profiles_built_total", Help: "Sampling profile artifacts built by this process.", Value: float64(profiles.Built())},
-				obs.Gauge{Name: "morrigan_sampling_profiles_reused_total", Help: "Sampling profile artifacts served from the profile store.", Value: float64(profiles.Reused())},
-			)
+		return []obs.Gauge{
+			{Name: "morrigan_sampling_profiles_built_total", Help: "Sampling profile artifacts built by this process.", Value: float64(profiles.Built())},
+			{Name: "morrigan_sampling_profiles_reused_total", Help: "Sampling profile artifacts served from the profile store.", Value: float64(profiles.Reused())},
 		}
-		return gs
 	}
 }

@@ -10,7 +10,9 @@ import (
 // Telemetry observability layer (see internal/telemetry): interval
 // time-series sampling of live counters, a bounded event trace of the
 // prefetch lifecycle and page walks, and log2-bucketed latency histograms,
-// emitted as schema-versioned JSON Lines.
+// emitted as schema-versioned JSON Lines. A campaign builds probes only for
+// CampaignOptions.Telemetry and only for full-run jobs; the live view of
+// running jobs (ObservabilityServer) comes from Config.OnProgress instead.
 type (
 	// TelemetryConfig parameterises a probe (sampling interval, event-ring
 	// capacity).
