@@ -31,6 +31,7 @@ import (
 // timed or functional.
 func (s *Simulator) FastForward(ctx context.Context, n uint64) error {
 	done, err := s.drive(ctx, n, false)
+	s.reportProgress()
 	if err != nil {
 		return fmt.Errorf("sim: fast-forward: %w", err)
 	}
