@@ -71,7 +71,7 @@ func BenchmarkICacheSelection(b *testing.B)       { benchExperiment(b, "icachese
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	w := morrigan.QMMWorkloads()[10]
 	cfg := morrigan.DefaultConfig()
-	cfg.Prefetcher = morrigan.NewMorrigan(morrigan.DefaultPrefetcherConfig())
+	cfg.Prefetcher = morrigan.MorriganMachineSpec(morrigan.DefaultPrefetcherConfig())
 	s, err := morrigan.NewSimulator(cfg, []morrigan.ThreadSpec{{Reader: w.NewReader()}})
 	if err != nil {
 		b.Fatal(err)
@@ -92,7 +92,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 func BenchmarkSimulatorTelemetry(b *testing.B) {
 	w := morrigan.QMMWorkloads()[10]
 	cfg := morrigan.DefaultConfig()
-	cfg.Prefetcher = morrigan.NewMorrigan(morrigan.DefaultPrefetcherConfig())
+	cfg.Prefetcher = morrigan.MorriganMachineSpec(morrigan.DefaultPrefetcherConfig())
 	cfg.Probe = morrigan.NewTelemetryProbe(morrigan.DefaultTelemetryConfig())
 	s, err := morrigan.NewSimulator(cfg, []morrigan.ThreadSpec{{Reader: w.NewReader()}})
 	if err != nil {

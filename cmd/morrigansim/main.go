@@ -88,7 +88,7 @@ func run() (err error) {
 	}
 
 	// The machine under test is a declarative spec: built from the flags, or
-	// loaded verbatim from -config. Either way Build validates it before any
+	// loaded verbatim from -config. Either way it is validated before any
 	// simulation launches.
 	spec, err := specFromFlags(*pf, *icachePf, *perfect, *p2tlb, *asap, *icacheTLB, *stlb, *pb)
 	if err != nil {
@@ -116,7 +116,7 @@ func run() (err error) {
 			pfLabel = spec.Prefetcher.Kind
 		}
 	}
-	if _, err := spec.Build(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return err
 	}
 	if *confOut != "" {

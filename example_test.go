@@ -12,7 +12,7 @@ func ExampleNewSimulator() {
 	workload, _ := morrigan.WorkloadByName("qmm-srv-30")
 
 	cfg := morrigan.DefaultConfig() // the paper's Table 1 machine
-	cfg.Prefetcher = morrigan.NewMorrigan(morrigan.DefaultPrefetcherConfig())
+	cfg.Prefetcher = morrigan.MorriganMachineSpec(morrigan.DefaultPrefetcherConfig())
 
 	sim, err := morrigan.NewSimulator(cfg, []morrigan.ThreadSpec{
 		{Reader: workload.NewReader()},

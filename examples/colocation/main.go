@@ -18,7 +18,7 @@ func main() {
 	pair := morrigan.SMTWorkloadPairs(1, 7)[0]
 	a, b := pair[0], pair[1]
 
-	run := func(label string, prefetcher morrigan.Prefetcher) morrigan.Stats {
+	run := func(label string, prefetcher morrigan.MachinePrefetcherSpec) morrigan.Stats {
 		cfg := morrigan.DefaultConfig()
 		cfg.Prefetcher = prefetcher
 		sim, err := morrigan.NewSimulator(cfg, []morrigan.ThreadSpec{
@@ -53,9 +53,9 @@ func main() {
 	}
 	fmt.Printf("%-28s IPC %.3f  iSTLB MPKI %.2f\n", a.Name+" alone", soloStats.IPC, soloStats.ISTLBMPKI)
 
-	base := run("colocated, no prefetching", nil)
-	one := run("colocated + Morrigan 1x", morrigan.NewMorrigan(morrigan.DefaultPrefetcherConfig()))
-	two := run("colocated + Morrigan 2x", morrigan.NewMorrigan(morrigan.ScaledPrefetcherConfig(2)))
+	base := run("colocated, no prefetching", morrigan.MachinePrefetcherSpec{})
+	one := run("colocated + Morrigan 1x", morrigan.MorriganMachineSpec(morrigan.DefaultPrefetcherConfig()))
+	two := run("colocated + Morrigan 2x", morrigan.MorriganMachineSpec(morrigan.ScaledPrefetcherConfig(2)))
 
 	speedup := func(st morrigan.Stats) float64 {
 		return (float64(base.Cycles)/float64(st.Cycles) - 1) * 100

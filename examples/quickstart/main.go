@@ -18,7 +18,7 @@ func main() {
 		log.Fatal("workload not found")
 	}
 
-	run := func(prefetcher morrigan.Prefetcher) morrigan.Stats {
+	run := func(prefetcher morrigan.MachinePrefetcherSpec) morrigan.Stats {
 		cfg := morrigan.DefaultConfig()
 		cfg.Prefetcher = prefetcher
 		sim, err := morrigan.NewSimulator(cfg, []morrigan.ThreadSpec{
@@ -37,12 +37,12 @@ func main() {
 	fmt.Printf("workload %s: %d instructions measured after %d warmup\n\n",
 		workload.Name, uint64(measure), uint64(warmup))
 
-	base := run(nil)
+	base := run(morrigan.MachinePrefetcherSpec{}) // kind "none"
 	fmt.Printf("baseline (no iSTLB prefetching):\n")
 	fmt.Printf("  IPC %.3f, iSTLB MPKI %.2f, %d demand instruction walks (%d memory refs)\n\n",
 		base.IPC, base.ISTLBMPKI, base.DemandIWalks, base.DemandIWalkRefs)
 
-	mor := run(morrigan.NewMorrigan(morrigan.DefaultPrefetcherConfig()))
+	mor := run(morrigan.MorriganMachineSpec(morrigan.DefaultPrefetcherConfig()))
 	fmt.Printf("with Morrigan (%.2f KB of prediction state):\n",
 		morrigan.NewMorrigan(morrigan.DefaultPrefetcherConfig()).StorageBytes()/1024)
 	fmt.Printf("  IPC %.3f, %d of %d iSTLB misses served by the prefetch buffer\n",

@@ -33,12 +33,12 @@ func main() {
 		}},
 		{"sequential prefetcher (SP)", func() morrigan.Config {
 			c := morrigan.DefaultConfig()
-			c.Prefetcher = morrigan.NewSP()
+			c.Prefetcher = morrigan.SPSpec()
 			return c
 		}},
 		{"Markov prefetcher (MP, 128e)", func() morrigan.Config {
 			c := morrigan.DefaultConfig()
-			c.Prefetcher = morrigan.NewMP(128, 4)
+			c.Prefetcher = morrigan.MPSpec(128, 4)
 			return c
 		}},
 		{"enlarged STLB (+384 entries)", func() morrigan.Config {
@@ -53,12 +53,12 @@ func main() {
 		}},
 		{"Morrigan (3.8 KB)", func() morrigan.Config {
 			c := morrigan.DefaultConfig()
-			c.Prefetcher = morrigan.NewMorrigan(morrigan.DefaultPrefetcherConfig())
+			c.Prefetcher = morrigan.MorriganMachineSpec(morrigan.DefaultPrefetcherConfig())
 			return c
 		}},
 		{"Morrigan + ASAP", func() morrigan.Config {
 			c := morrigan.DefaultConfig()
-			c.Prefetcher = morrigan.NewMorrigan(morrigan.DefaultPrefetcherConfig())
+			c.Prefetcher = morrigan.MorriganMachineSpec(morrigan.DefaultPrefetcherConfig())
 			c.Walker.ASAP = true
 			return c
 		}},

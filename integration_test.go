@@ -19,7 +19,7 @@ func TestFileTraceMatchesGenerator(t *testing.T) {
 
 	run := func(r morrigan.TraceReader) morrigan.Stats {
 		cfg := morrigan.DefaultConfig()
-		cfg.Prefetcher = morrigan.NewMorrigan(morrigan.DefaultPrefetcherConfig())
+		cfg.Prefetcher = morrigan.MorriganMachineSpec(morrigan.DefaultPrefetcherConfig())
 		s, err := morrigan.NewSimulator(cfg, []morrigan.ThreadSpec{{Reader: r}})
 		if err != nil {
 			t.Fatal(err)
@@ -75,8 +75,8 @@ func buildCorpusFile(t *testing.T, src morrigan.TraceReader, n uint64) *morrigan
 func TestKitchenSinkConfiguration(t *testing.T) {
 	pair := morrigan.SMTWorkloadPairs(1, 3)[0]
 	cfg := morrigan.DefaultConfig()
-	cfg.Prefetcher = morrigan.NewMorrigan(morrigan.ScaledPrefetcherConfig(2))
-	cfg.ICachePrefetcher = morrigan.NewFNLMMA()
+	cfg.Prefetcher = morrigan.MorriganMachineSpec(morrigan.ScaledPrefetcherConfig(2))
+	cfg.ICachePrefetcher = morrigan.FNLMMASpec()
 	cfg.ICacheTLBCost = true
 	cfg.PageTable = morrigan.PageTableHashed
 	cfg.ContextSwitchInterval = 150_000
@@ -118,7 +118,7 @@ func TestKitchenSinkConfiguration(t *testing.T) {
 func TestAccountingIdentities(t *testing.T) {
 	w := morrigan.QMMWorkloads()[25]
 	cfg := morrigan.DefaultConfig()
-	cfg.Prefetcher = morrigan.NewMorrigan(morrigan.DefaultPrefetcherConfig())
+	cfg.Prefetcher = morrigan.MorriganMachineSpec(morrigan.DefaultPrefetcherConfig())
 	s, err := morrigan.NewSimulator(cfg, []morrigan.ThreadSpec{{Reader: w.NewReader()}})
 	if err != nil {
 		t.Fatal(err)

@@ -162,8 +162,8 @@ type simJob struct {
 	// machine describes the configuration under test as data; the runner
 	// builds it (fresh prefetcher state and all) on the worker goroutine.
 	machine machine.Spec
-	// instrument, when set, mutates the built config before the run — used
-	// by the miss-stream characterisation figures. Instrumented jobs are
+	// instrument, when set, mutates the job's sim.Config before the run —
+	// used by the miss-stream characterisation figures. Instrumented jobs are
 	// excluded from checkpoint/reuse identity (see runner.Job.Key).
 	instrument func(*sim.Config)
 }

@@ -4,14 +4,14 @@ import (
 	"fmt"
 
 	"morrigan/internal/arch"
-	"morrigan/internal/sim"
+	"morrigan/internal/machine"
 	"morrigan/internal/stats"
 	"morrigan/internal/workloads"
 )
 
 // Table1 reports the simulated system configuration (the paper's Table 1).
 func Table1(o Options) (*Table, error) {
-	cfg := sim.DefaultConfig()
+	cfg := machine.Default()
 	t := &Table{
 		ID:     "table1",
 		Title:  "System configuration",

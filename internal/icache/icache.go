@@ -114,10 +114,6 @@ func NewFNLMMA(entries, ways, degree, ahead int) *FNLMMA {
 	}
 }
 
-// DefaultFNLMMA returns a configuration comparable to the IPC-1 submission's
-// storage class: a 2K-entry miss table, FNL degree 4, MMA depth 3.
-func DefaultFNLMMA() *FNLMMA { return NewFNLMMA(2048, 8, 4, 3) }
-
 // Name implements Prefetcher.
 func (f *FNLMMA) Name() string { return "FNL+MMA" }
 

@@ -33,7 +33,7 @@ func TestLinesPerPage(t *testing.T) {
 }
 
 func TestFNLCrossesPages(t *testing.T) {
-	f := DefaultFNLMMA()
+	f := NewFNLMMA(2048, 8, 4, 3)
 	last := uint64(linesPerPage - 1)
 	got := f.OnFetch(last, false)
 	crossed := false
@@ -170,7 +170,7 @@ func TestVirtualLineArithmetic(t *testing.T) {
 // as the simulator does, for every built-in kind after a warm-up stream, and
 // requires the fetch path to allocate nothing.
 func TestOnFetchAllocationFree(t *testing.T) {
-	for _, p := range []Prefetcher{&NextLine{}, DefaultFNLMMA(), DefaultEPI(), DefaultDJolt()} {
+	for _, p := range []Prefetcher{&NextLine{}, NewFNLMMA(2048, 8, 4, 3), NewEPI(2048, 8, 6, 4), NewDJolt(2048, 8, 3, 4, 16)} {
 		// Runs of four sequential lines 37 lines apart over 2,048 lines,
 		// every third fetch a miss; the warm-up covers the whole cycle.
 		// The candidates are consumed, as the simulator consumes them.

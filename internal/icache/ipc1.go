@@ -77,9 +77,6 @@ func NewEPI(entries, ways, destinations, window int) *EPI {
 	}
 }
 
-// DefaultEPI sizes the table comparably to the IPC-1 submission's class.
-func DefaultEPI() *EPI { return NewEPI(2048, 8, 6, 4) }
-
 // Name implements Prefetcher.
 func (e *EPI) Name() string { return "EPI" }
 
@@ -227,9 +224,6 @@ func NewDJolt(entries, ways, degree, footprint int, jumpMin uint64) *DJolt {
 		sets:      entries / ways,
 	}
 }
-
-// DefaultDJolt sizes the structures comparably to the IPC-1 class.
-func DefaultDJolt() *DJolt { return NewDJolt(2048, 8, 3, 4, 16) }
 
 // Name implements Prefetcher.
 func (d *DJolt) Name() string { return "D-Jolt" }

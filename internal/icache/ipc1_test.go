@@ -98,7 +98,7 @@ func TestDJoltIgnoresShortJumps(t *testing.T) {
 }
 
 func TestDJoltCrossesPages(t *testing.T) {
-	d := DefaultDJolt()
+	d := NewDJolt(2048, 8, 3, 4, 16)
 	last := uint64(linesPerPage - 1)
 	got := d.OnFetch(last, false)
 	crossed := false
@@ -123,7 +123,7 @@ func TestDJoltFlush(t *testing.T) {
 }
 
 func TestIPC1Defaults(t *testing.T) {
-	if DefaultEPI().Name() != "EPI" || DefaultDJolt().Name() != "D-Jolt" {
+	if NewEPI(2048, 8, 6, 4).Name() != "EPI" || NewDJolt(2048, 8, 3, 4, 16).Name() != "D-Jolt" {
 		t.Fatal("names wrong")
 	}
 	// Clamped degenerate parameters.

@@ -8,8 +8,8 @@ import (
 
 // Load parses a machine spec from JSON (the format Save writes; see
 // README's -config quick-start). Unknown fields are rejected so a typo'd
-// parameter cannot silently fall back to a default, and the spec is validated
-// by building it once before it is returned.
+// parameter cannot silently fall back to a default, and the spec must pass
+// Validate.
 func Load(r io.Reader) (Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -17,7 +17,7 @@ func Load(r io.Reader) (Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("machine: parsing spec: %w", err)
 	}
-	if _, err := s.Build(); err != nil {
+	if err := s.Validate(); err != nil {
 		return Spec{}, fmt.Errorf("machine: invalid spec: %w", err)
 	}
 	return s, nil

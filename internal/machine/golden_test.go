@@ -1,4 +1,4 @@
-package machine
+package machine_test
 
 import (
 	"context"
@@ -14,6 +14,7 @@ import (
 
 	"morrigan/internal/arch"
 	"morrigan/internal/core"
+	"morrigan/internal/machine"
 	"morrigan/internal/sim"
 	"morrigan/internal/trace"
 	"morrigan/internal/workloads"
@@ -28,24 +29,24 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_st
 var (
 	matrixPFSpecs = []struct {
 		name string
-		spec func() PrefetcherSpec
+		spec func() machine.PrefetcherSpec
 	}{
-		{"none", func() PrefetcherSpec { return PrefetcherSpec{} }},
-		{"sp", SP},
-		{"asp", func() PrefetcherSpec { return ASP(256) }},
-		{"dp", func() PrefetcherSpec { return DP(256) }},
-		{"mp", func() PrefetcherSpec { return MP(128, 4) }},
-		{"mp-unbounded", func() PrefetcherSpec { return UnboundedMP(2) }},
-		{"morrigan", func() PrefetcherSpec { return Morrigan(core.DefaultConfig()) }},
+		{"none", func() machine.PrefetcherSpec { return machine.PrefetcherSpec{} }},
+		{"sp", machine.SP},
+		{"asp", func() machine.PrefetcherSpec { return machine.ASP(256) }},
+		{"dp", func() machine.PrefetcherSpec { return machine.DP(256) }},
+		{"mp", func() machine.PrefetcherSpec { return machine.MP(128, 4) }},
+		{"mp-unbounded", func() machine.PrefetcherSpec { return machine.UnboundedMP(2) }},
+		{"morrigan", func() machine.PrefetcherSpec { return machine.Morrigan(core.DefaultConfig()) }},
 	}
 	matrixICSpecs = []struct {
 		name string
-		spec func() ICacheSpec
+		spec func() machine.ICacheSpec
 	}{
-		{"next-line", func() ICacheSpec { return ICacheSpec{} }},
-		{"fnl-mma", FNLMMA},
-		{"epi", EPI},
-		{"djolt", DJolt},
+		{"next-line", func() machine.ICacheSpec { return machine.ICacheSpec{} }},
+		{"fnl-mma", machine.FNLMMA},
+		{"epi", machine.EPI},
+		{"djolt", machine.DJolt},
 	}
 	matrixPTKinds = []string{"radix-4", "radix-5", "hashed"}
 )
@@ -55,35 +56,35 @@ var (
 // prefetch-into-STLB.
 var stressShapes = []struct {
 	name    string
-	spec    func() Spec
+	spec    func() machine.Spec
 	threads int
 }{
-	{"smt-morrigan", func() Spec {
-		s := Default()
-		s.Prefetcher = Morrigan(core.DefaultConfig())
+	{"smt-morrigan", func() machine.Spec {
+		s := machine.Default()
+		s.Prefetcher = machine.Morrigan(core.DefaultConfig())
 		return s
 	}, 2},
-	{"context-switches", func() Spec {
-		s := Default()
-		s.Prefetcher = Morrigan(core.DefaultConfig())
+	{"context-switches", func() machine.Spec {
+		s := machine.Default()
+		s.Prefetcher = machine.Morrigan(core.DefaultConfig())
 		s.ContextSwitchInterval = 3_000
 		return s
 	}, 1},
-	{"correcting-walks", func() Spec {
-		s := Default()
-		s.Prefetcher = Morrigan(core.DefaultConfig())
+	{"correcting-walks", func() machine.Spec {
+		s := machine.Default()
+		s.Prefetcher = machine.Morrigan(core.DefaultConfig())
 		s.CorrectingWalks = true
 		return s
 	}, 1},
-	{"huge-data-pages", func() Spec {
-		s := Default()
-		s.Prefetcher = SP()
+	{"huge-data-pages", func() machine.Spec {
+		s := machine.Default()
+		s.Prefetcher = machine.SP()
 		s.HugeDataPages = true
 		return s
 	}, 1},
-	{"prefetch-into-stlb", func() Spec {
-		s := Default()
-		s.Prefetcher = Morrigan(core.DefaultConfig())
+	{"prefetch-into-stlb", func() machine.Spec {
+		s := machine.Default()
+		s.Prefetcher = machine.Morrigan(core.DefaultConfig())
 		s.PrefetchIntoSTLB = true
 		return s
 	}, 1},
@@ -93,7 +94,7 @@ var stressShapes = []struct {
 // hardware threads (thread i runs at VAOffset i<<40) and the window.
 type goldenCase struct {
 	name            string
-	spec            Spec
+	spec            machine.Spec
 	threads         []workloads.Spec
 	warmup, measure uint64
 	// evictionHeavy cases must miss the LLC more often than it has lines,
@@ -147,7 +148,7 @@ func kindMatrixCases() []goldenCase {
 	for _, pf := range matrixPFSpecs {
 		for _, ic := range matrixICSpecs {
 			for _, pt := range matrixPTKinds {
-				s := Default()
+				s := machine.Default()
 				s.Prefetcher = pf.spec()
 				s.ICachePrefetcher = ic.spec()
 				s.PageTable = pt
@@ -181,15 +182,15 @@ func stressCases() []goldenCase {
 func evictionCases() []goldenCase {
 	qmm := workloads.QMM()
 	var cases []goldenCase
-	small := Default()
+	small := machine.Default()
 	small.Cache.L2Sets /= 16
 	small.Cache.LLCSets /= 16
 	morrigan := small
-	morrigan.Prefetcher = Morrigan(core.DefaultConfig())
+	morrigan.Prefetcher = machine.Morrigan(core.DefaultConfig())
 	for _, i := range []int{0, 9, 18, 26, 35, 44} {
 		for _, c := range []struct {
 			name string
-			spec Spec
+			spec machine.Spec
 		}{{"baseline", small}, {"morrigan", morrigan}} {
 			cases = append(cases, goldenCase{
 				name: "evict/" + qmm[i].Name + "/" + c.name, spec: c.spec,
@@ -213,8 +214,8 @@ func fastForwardCases() []goldenCase {
 	var cases []goldenCase
 	for _, threads := range []int{1, 2} {
 		for _, ic := range matrixICSpecs {
-			s := Default()
-			s.Prefetcher = Morrigan(core.DefaultConfig())
+			s := machine.Default()
+			s.Prefetcher = machine.Morrigan(core.DefaultConfig())
 			s.ICachePrefetcher = ic.spec()
 			s.ICacheTLBCost = ic.name != "next-line"
 			s.ContextSwitchInterval = 7_001
@@ -231,10 +232,6 @@ func fastForwardCases() []goldenCase {
 // reader.
 func runGolden(t *testing.T, c goldenCase, wrap func(trace.Reader) trace.Reader) goldenEntry {
 	t.Helper()
-	cfg, err := c.spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
 	threads := make([]sim.ThreadSpec, len(c.threads))
 	for i, w := range c.threads {
 		r := w.NewReader()
@@ -243,7 +240,7 @@ func runGolden(t *testing.T, c goldenCase, wrap func(trace.Reader) trace.Reader)
 		}
 		threads[i] = sim.ThreadSpec{Reader: r, VAOffset: arch.VAddr(i) << 40}
 	}
-	m, err := sim.New(cfg, threads)
+	m, err := sim.New(sim.Config{Spec: c.spec}, threads)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ const specHashVersion = "morrigan/machine.Spec/v1"
 // Kind strings are canonicalised before hashing — an empty prefetcher kind
 // and "none", an empty page table and "radix-4", an empty I-cache kind and
 // "next-line", an empty policy and "RLFU" each hash identically, matching
-// what Build constructs for them. TestSpecHashGolden pins known values;
+// what New constructs for them. TestSpecHashGolden pins known values;
 // when the encoding must change, bump specHashVersion.
 func (s Spec) Hash() string {
 	h := sha256.New()
@@ -132,7 +132,7 @@ func (s Spec) Hash() string {
 	wb(s.ICacheTLBCost)
 
 	wi(s.SMTBlock)
-	ws(normKind(s.PageTable, "radix-4"))
+	ws(normKind(s.PageTable, PageTableRadix4))
 	wb(s.HugeDataPages)
 	wb(s.CorrectingWalks)
 	wu(s.ContextSwitchInterval)

@@ -1,15 +1,16 @@
-// Package machine defines the declarative, JSON-serializable description of
-// one simulated machine: every TLB/PB/cache/walker/core parameter plus the
-// iSTLB and I-cache prefetcher *kinds with their parameters* as plain data,
-// instead of the live prefetcher instances a sim.Config carries.
+// Package machine defines the one description of a simulated machine: a
+// declarative, JSON-serializable Spec holding every TLB/PB/cache/walker/core
+// parameter plus the iSTLB prefetcher, I-cache prefetcher and page table as
+// *kinds with their parameters*.
 //
 // A machine.Spec is to configurations what workloads.Spec is to instruction
 // streams: a value with a stable content Hash() that names exactly what would
 // be simulated. Together they give every campaign job a canonical identity
 // (runner.Job.Key), which is what the checkpoint journal and the
-// cross-experiment result cache key on. Build() turns a spec back into a
-// runnable sim.Config, constructing fresh prefetcher state on every call so
-// jobs never share mutable tables.
+// cross-experiment result cache key on. sim.Config embeds a Spec; Validate
+// checks one without building anything, and sim.New builds fresh prefetcher
+// state from it (PrefetcherSpec.New, ICacheSpec.New) for every simulator, so
+// simulators never share mutable tables.
 package machine
 
 import (
@@ -21,16 +22,16 @@ import (
 	"morrigan/internal/core"
 	"morrigan/internal/cpu"
 	"morrigan/internal/icache"
+	"morrigan/internal/pagetable"
 	"morrigan/internal/ptw"
-	"morrigan/internal/sim"
 	"morrigan/internal/tlbprefetch"
 )
 
 // Spec describes one simulated machine as data. The zero value is not a
 // valid machine; start from Default() and mutate. Every field is
-// JSON-serializable and folded into Hash(); the runtime-only sim.Config hooks
-// (OnISTLBMiss, OnProgress, Probe) deliberately have no counterpart here —
-// they are attached per run, not part of the machine's identity.
+// JSON-serializable and folded into Hash(); the runtime-only hooks sim.Config
+// adds around it (OnISTLBMiss, OnProgress, Probe) are attached per run, not
+// part of the machine's identity.
 type Spec struct {
 	// Seed drives the OS frame allocator.
 	Seed int64 `json:"seed"`
@@ -74,8 +75,8 @@ type Spec struct {
 	// SMTBlock is the per-thread fetch interleave under SMT.
 	SMTBlock int `json:"smt_block"`
 
-	// PageTable selects the page-table organisation: "radix-4" (or empty),
-	// "radix-5", "hashed".
+	// PageTable selects the page-table organisation (Section 4.3):
+	// PageTableRadix4 (or empty), PageTableRadix5 or PageTableHashed.
 	PageTable string `json:"page_table,omitempty"`
 
 	// HugeDataPages maps each thread's data region with 2 MB pages.
@@ -131,6 +132,18 @@ type TableSpec struct {
 	Ways    int `json:"ways"`
 }
 
+// Page-table organisations (Section 4.3).
+const (
+	// PageTableRadix4 is the default x86-64 4-level radix tree.
+	PageTableRadix4 = "radix-4"
+	// PageTableRadix5 adds the PML5 level (5-level paging).
+	PageTableRadix5 = "radix-5"
+	// PageTableHashed is a clustered hashed page table; walks hash
+	// directly to the bucket holding the translation and its 7 line
+	// neighbours, so there are no interior levels and the PSCs are idle.
+	PageTableHashed = "hashed"
+)
+
 // I-cache prefetcher kinds.
 const (
 	ICacheNextLine = "next-line"
@@ -154,9 +167,10 @@ type ICacheSpec struct {
 	JumpMin      uint64 `json:"jump_min,omitempty"`
 }
 
-// Default mirrors sim.DefaultConfig (the paper's Table 1 machine with no
-// iSTLB prefetcher and the next-line I-cache baseline). TestBuildDefault
-// pins the equivalence.
+// Default is the paper's Table 1 machine: 128-entry 8-way I-TLB, 64-entry
+// 4-way D-TLB, 1536-entry 6-way 8-cycle STLB, 64-entry 2-cycle PB, the
+// paper's cache hierarchy and walker, no iSTLB prefetcher and the next-line
+// I-cache baseline.
 func Default() Spec {
 	return Spec{
 		Seed:        1,
@@ -198,139 +212,52 @@ func UnboundedMP(maxSucc int) PrefetcherSpec {
 // Morrigan returns a Morrigan prefetcher spec carrying the given core
 // configuration as data.
 func Morrigan(mc core.Config) PrefetcherSpec {
-	ms := FromCoreConfig(mc)
-	return PrefetcherSpec{Kind: PrefetcherMorrigan, Morrigan: &ms}
-}
-
-// FromCoreConfig converts a live core.Config into its data form.
-func FromCoreConfig(mc core.Config) MorriganSpec {
 	ts := make([]TableSpec, len(mc.Tables))
 	for i, t := range mc.Tables {
-		ts[i] = TableSpec{Slots: t.Slots, Entries: t.Entries, Ways: t.Ways}
+		ts[i] = TableSpec(t)
 	}
-	return MorriganSpec{
-		Tables:            ts,
-		Policy:            mc.Policy.String(),
-		RLFUCandidates:    mc.RLFUCandidates,
-		FreqResetInterval: mc.FreqResetInterval,
-		SDP:               mc.SDP,
-		Spatial:           mc.Spatial,
-		Seed:              mc.Seed,
-	}
-}
-
-// CoreConfig converts the spec back into a live core.Config.
-func (m MorriganSpec) CoreConfig() (core.Config, error) {
-	pol, err := parsePolicy(m.Policy)
-	if err != nil {
-		return core.Config{}, err
-	}
-	ts := make([]core.TableConfig, len(m.Tables))
-	for i, t := range m.Tables {
-		ts[i] = core.TableConfig{Slots: t.Slots, Entries: t.Entries, Ways: t.Ways}
-	}
-	return core.Config{
-		Tables:            ts,
-		Policy:            pol,
-		RLFUCandidates:    m.RLFUCandidates,
-		FreqResetInterval: m.FreqResetInterval,
-		SDP:               m.SDP,
-		Spatial:           m.Spatial,
-		Seed:              m.Seed,
-	}, nil
+	return PrefetcherSpec{Kind: PrefetcherMorrigan, Morrigan: &MorriganSpec{
+		Tables: ts, Policy: mc.Policy.String(), RLFUCandidates: mc.RLFUCandidates,
+		FreqResetInterval: mc.FreqResetInterval, SDP: mc.SDP, Spatial: mc.Spatial, Seed: mc.Seed,
+	}}
 }
 
 // parsePolicy maps a policy name (case-insensitive; empty means RLFU, the
 // zero core.Policy) to the core constant.
 func parsePolicy(s string) (core.Policy, error) {
-	switch strings.ToLower(s) {
-	case "", "rlfu":
+	if s == "" {
 		return core.PolicyRLFU, nil
-	case "lfu":
-		return core.PolicyLFU, nil
-	case "lru":
-		return core.PolicyLRU, nil
-	case "random":
-		return core.PolicyRandom, nil
 	}
-	return 0, fmt.Errorf("machine: unknown replacement policy %q", s)
+	for p := core.PolicyRLFU; p <= core.PolicyRandom; p++ {
+		if strings.EqualFold(s, p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown replacement policy %q", s)
 }
 
-// FNLMMA returns the default FNL+MMA I-cache prefetcher spec.
+// FNLMMA returns the default FNL+MMA I-cache prefetcher spec: a 2K-entry
+// miss table, comparable to the IPC-1 submission's storage class, with FNL
+// degree 4 and MMA depth 3.
 func FNLMMA() ICacheSpec {
 	return ICacheSpec{Kind: ICacheFNLMMA, Entries: 2048, Ways: 8, Degree: 4, Ahead: 3}
 }
 
-// EPI returns the default entangling (EPI) I-cache prefetcher spec.
+// EPI returns the default entangling (EPI) I-cache prefetcher spec, sized
+// comparably to the IPC-1 submission's class.
 func EPI() ICacheSpec {
 	return ICacheSpec{Kind: ICacheEPI, Entries: 2048, Ways: 8, Destinations: 6, Window: 4}
 }
 
-// DJolt returns the default D-Jolt I-cache prefetcher spec.
+// DJolt returns the default D-Jolt I-cache prefetcher spec, sized comparably
+// to the IPC-1 submission's class.
 func DJolt() ICacheSpec {
 	return ICacheSpec{Kind: ICacheDJolt, Entries: 2048, Ways: 8, Degree: 3, Footprint: 4, JumpMin: 16}
 }
 
-// build constructs the live iSTLB prefetcher the spec names; nil for the
-// no-prefetching baseline.
-func (p PrefetcherSpec) build() (tlbprefetch.Prefetcher, error) {
-	switch kind := normKind(p.Kind, PrefetcherNone); kind {
-	case PrefetcherNone:
-		return nil, nil
-	case PrefetcherSP:
-		return &tlbprefetch.SP{}, nil
-	case PrefetcherASP, PrefetcherDP, PrefetcherMP:
-		if p.Entries <= 0 {
-			return nil, fmt.Errorf("machine: %s prefetcher needs entries > 0 (got %d)", kind, p.Entries)
-		}
-		switch kind {
-		case PrefetcherASP:
-			return tlbprefetch.NewASP(p.Entries), nil
-		case PrefetcherDP:
-			return tlbprefetch.NewDP(p.Entries), nil
-		}
-		if p.Ways <= 0 || p.Entries%p.Ways != 0 {
-			return nil, fmt.Errorf("machine: mp prefetcher geometry invalid: %d entries, %d ways", p.Entries, p.Ways)
-		}
-		return tlbprefetch.NewMP(p.Entries, p.Ways), nil
-	case PrefetcherUnboundedMP:
-		return tlbprefetch.NewUnboundedMP(p.MaxSuccessors), nil
-	case PrefetcherMorrigan:
-		mc := core.DefaultConfig()
-		if p.Morrigan != nil {
-			var err error
-			mc, err = p.Morrigan.CoreConfig()
-			if err != nil {
-				return nil, err
-			}
-		}
-		return core.New(mc), nil
-	}
-	return nil, fmt.Errorf("machine: unknown prefetcher kind %q", p.Kind)
-}
-
-// build constructs the live I-cache prefetcher the spec names; nil for the
-// next-line baseline (sim substitutes icache.NextLine).
-func (p ICacheSpec) build() (icache.Prefetcher, error) {
-	kind := normKind(p.Kind, ICacheNextLine)
-	if kind != ICacheNextLine && (p.Entries <= 0 || p.Ways <= 0) {
-		return nil, fmt.Errorf("machine: %s I-cache prefetcher geometry invalid: %d entries, %d ways", kind, p.Entries, p.Ways)
-	}
-	switch kind {
-	case ICacheNextLine:
-		return nil, nil
-	case ICacheFNLMMA:
-		return icache.NewFNLMMA(p.Entries, p.Ways, p.Degree, p.Ahead), nil
-	case ICacheEPI:
-		return icache.NewEPI(p.Entries, p.Ways, p.Destinations, p.Window), nil
-	case ICacheDJolt:
-		return icache.NewDJolt(p.Entries, p.Ways, p.Degree, p.Footprint, p.JumpMin), nil
-	}
-	return nil, fmt.Errorf("machine: unknown I-cache prefetcher kind %q", p.Kind)
-}
-
-// normKind canonicalises a kind string: lowercase, empty means def. Hash and
-// Build share it, so "" and the explicit default name are the same machine.
+// normKind canonicalises a kind string: lowercase, empty means def. Hash,
+// Validate and the constructors share it, so "" and the explicit default
+// name are the same machine.
 func normKind(s, def string) string {
 	if s == "" {
 		return def
@@ -338,40 +265,183 @@ func normKind(s, def string) string {
 	return strings.ToLower(s)
 }
 
-// Build turns the spec into a runnable sim.Config, constructing fresh
-// prefetcher instances — the returned config shares no mutable state with any
-// other Build call. The config is validated before it is returned.
-func (s Spec) Build() (sim.Config, error) {
-	cfg := sim.Config{
-		Seed:        s.Seed,
-		Cache:       s.Cache,
-		Walker:      s.Walker,
-		Core:        s.Core,
-		ITLBEntries: s.ITLBEntries, ITLBWays: s.ITLBWays, ITLBLatency: s.ITLBLatency,
-		DTLBEntries: s.DTLBEntries, DTLBWays: s.DTLBWays, DTLBLatency: s.DTLBLatency,
-		STLBEntries: s.STLBEntries, STLBWays: s.STLBWays, STLBLatency: s.STLBLatency,
-		PBEntries: s.PBEntries, PBLatency: s.PBLatency,
-		PrefetchIntoSTLB:      s.PrefetchIntoSTLB,
-		PerfectISTLB:          s.PerfectISTLB,
-		ICacheTLBCost:         s.ICacheTLBCost,
-		SMTBlock:              s.SMTBlock,
-		HugeDataPages:         s.HugeDataPages,
-		CorrectingWalks:       s.CorrectingWalks,
-		ContextSwitchInterval: s.ContextSwitchInterval,
+// Validate reports whether sim.New can build the machine: every kind is
+// known and every geometry is one its component accepts. It constructs
+// nothing, so a spec arriving from outside the program (Load, the fabric
+// wire) is checked before any job starts, and sim.New checks it again at
+// little cost.
+func (s Spec) Validate() error {
+	psc := s.Walker.PSC
+	for _, g := range [...]struct {
+		name          string
+		entries, ways int
+	}{
+		{"ITLB", s.ITLBEntries, s.ITLBWays},
+		{"DTLB", s.DTLBEntries, s.DTLBWays},
+		{"STLB", s.STLBEntries, s.STLBWays},
+		{"PSC PML4", psc.PML4Entries, psc.PML4Ways},
+		{"PSC PDP", psc.PDPEntries, psc.PDPWays},
+		{"PSC PD", psc.PDEntries, psc.PDWays},
+	} {
+		if err := checkGeometry(g.entries, g.ways); err != nil {
+			return fmt.Errorf("machine: %s %w", g.name, err)
+		}
 	}
-	kind, err := sim.ParsePageTableKind(s.PageTable)
+	if err := s.Cache.Validate(); err != nil {
+		return fmt.Errorf("machine: %w", err)
+	}
+	if s.Core.Width <= 0 || s.Core.ROB <= 0 {
+		return fmt.Errorf("machine: core width and ROB must be positive: width %d, ROB %d", s.Core.Width, s.Core.ROB)
+	}
+	if s.PBEntries <= 0 {
+		return fmt.Errorf("machine: PBEntries = %d", s.PBEntries)
+	}
+	if s.SMTBlock <= 0 {
+		return fmt.Errorf("machine: SMTBlock = %d", s.SMTBlock)
+	}
+	if err := s.Prefetcher.validate(); err != nil {
+		return err
+	}
+	if s.PerfectISTLB && normKind(s.Prefetcher.Kind, PrefetcherNone) != PrefetcherNone {
+		return fmt.Errorf("machine: PerfectISTLB excludes an iSTLB prefetcher")
+	}
+	if err := s.ICachePrefetcher.validate(); err != nil {
+		return err
+	}
+	switch normKind(s.PageTable, PageTableRadix4) {
+	case PageTableRadix4, PageTableRadix5:
+	case PageTableHashed:
+		if s.HugeDataPages {
+			return fmt.Errorf("machine: HugeDataPages requires a radix page table")
+		}
+	default:
+		return fmt.Errorf("machine: unknown page table kind %q", s.PageTable)
+	}
+	return nil
+}
+
+// checkGeometry accepts a set-associative structure whose entries are a
+// positive multiple of its positive ways.
+func checkGeometry(entries, ways int) error {
+	if entries <= 0 || ways <= 0 || entries%ways != 0 {
+		return fmt.Errorf("geometry invalid: %d entries, %d ways", entries, ways)
+	}
+	return nil
+}
+
+// validate checks the kind and the parameters that kind uses.
+func (p PrefetcherSpec) validate() error {
+	switch kind := normKind(p.Kind, PrefetcherNone); kind {
+	case PrefetcherNone, PrefetcherSP, PrefetcherUnboundedMP:
+	case PrefetcherASP, PrefetcherDP:
+		if p.Entries <= 0 {
+			return fmt.Errorf("machine: %s prefetcher needs entries > 0 (got %d)", kind, p.Entries)
+		}
+	case PrefetcherMP:
+		if err := checkGeometry(p.Entries, p.Ways); err != nil {
+			return fmt.Errorf("machine: mp prefetcher %w", err)
+		}
+	case PrefetcherMorrigan:
+		mc, err := p.coreConfig()
+		if err == nil {
+			err = mc.Validate()
+		}
+		if err != nil {
+			return fmt.Errorf("machine: morrigan prefetcher: %w", err)
+		}
+	default:
+		return fmt.Errorf("machine: unknown prefetcher kind %q", p.Kind)
+	}
+	return nil
+}
+
+// coreConfig is the Morrigan configuration a "morrigan" spec names: the
+// paper's default when Morrigan is nil.
+func (p PrefetcherSpec) coreConfig() (core.Config, error) {
+	m := p.Morrigan
+	if m == nil {
+		return core.DefaultConfig(), nil
+	}
+	pol, err := parsePolicy(m.Policy)
 	if err != nil {
-		return sim.Config{}, fmt.Errorf("machine: %w", err)
+		return core.Config{}, err
 	}
-	cfg.PageTable = kind
-	if cfg.Prefetcher, err = s.Prefetcher.build(); err != nil {
-		return sim.Config{}, err
+	ts := make([]core.TableConfig, len(m.Tables))
+	for i, t := range m.Tables {
+		ts[i] = core.TableConfig(t)
 	}
-	if cfg.ICachePrefetcher, err = s.ICachePrefetcher.build(); err != nil {
-		return sim.Config{}, err
+	return core.Config{
+		Tables: ts, Policy: pol, RLFUCandidates: m.RLFUCandidates,
+		FreqResetInterval: m.FreqResetInterval, SDP: m.SDP, Spatial: m.Spatial, Seed: m.Seed,
+	}, nil
+}
+
+// New constructs the iSTLB prefetcher the spec names, with fresh state:
+// tlbprefetch.None for the no-prefetching baseline. The spec must have
+// passed Validate; New panics on one that fails it.
+func (p PrefetcherSpec) New() tlbprefetch.Prefetcher {
+	switch normKind(p.Kind, PrefetcherNone) {
+	case PrefetcherNone:
+		return tlbprefetch.None{}
+	case PrefetcherSP:
+		return &tlbprefetch.SP{}
+	case PrefetcherASP:
+		return tlbprefetch.NewASP(p.Entries)
+	case PrefetcherDP:
+		return tlbprefetch.NewDP(p.Entries)
+	case PrefetcherMP:
+		return tlbprefetch.NewMP(p.Entries, p.Ways)
+	case PrefetcherUnboundedMP:
+		return tlbprefetch.NewUnboundedMP(p.MaxSuccessors)
+	case PrefetcherMorrigan:
+		mc, err := p.coreConfig()
+		if err != nil {
+			panic(err)
+		}
+		return core.New(mc)
 	}
-	if err := cfg.Validate(); err != nil {
-		return sim.Config{}, err
+	panic(fmt.Sprintf("machine: unknown prefetcher kind %q", p.Kind))
+}
+
+// validate checks the kind and, for every kind but the next-line baseline,
+// the table geometry.
+func (p ICacheSpec) validate() error {
+	switch kind := normKind(p.Kind, ICacheNextLine); kind {
+	case ICacheNextLine:
+	case ICacheFNLMMA, ICacheEPI, ICacheDJolt:
+		if err := checkGeometry(p.Entries, p.Ways); err != nil {
+			return fmt.Errorf("machine: %s I-cache prefetcher %w", kind, err)
+		}
+	default:
+		return fmt.Errorf("machine: unknown I-cache prefetcher kind %q", p.Kind)
 	}
-	return cfg, nil
+	return nil
+}
+
+// New constructs the I-cache prefetcher the spec names, with fresh state.
+// The spec must have passed Validate; New panics on one that fails it.
+func (p ICacheSpec) New() icache.Prefetcher {
+	switch normKind(p.Kind, ICacheNextLine) {
+	case ICacheNextLine:
+		return &icache.NextLine{}
+	case ICacheFNLMMA:
+		return icache.NewFNLMMA(p.Entries, p.Ways, p.Degree, p.Ahead)
+	case ICacheEPI:
+		return icache.NewEPI(p.Entries, p.Ways, p.Destinations, p.Window)
+	case ICacheDJolt:
+		return icache.NewDJolt(p.Entries, p.Ways, p.Degree, p.Footprint, p.JumpMin)
+	}
+	panic(fmt.Sprintf("machine: unknown I-cache prefetcher kind %q", p.Kind))
+}
+
+// NewPageTable constructs the page table the spec names, its frame
+// allocator seeded by Seed. The spec must have passed Validate.
+func (s Spec) NewPageTable() pagetable.Translator {
+	switch normKind(s.PageTable, PageTableRadix4) {
+	case PageTableRadix5:
+		return pagetable.NewWithLevels(s.Seed, 5)
+	case PageTableHashed:
+		return pagetable.NewHashed(s.Seed, pagetable.DefaultHashedBuckets)
+	}
+	return pagetable.New(s.Seed)
 }

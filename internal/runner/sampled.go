@@ -58,7 +58,9 @@ func executeSampled(ctx context.Context, sp **sim.Simulator, cfg sim.Config, j J
 		return sim.Stats{}, nil, err
 	}
 	defer closeThreadReaders(threads)
+	buildSpan := opt.Spans.Start(traceID, "build")
 	s, err := sim.New(cfg, threads)
+	buildSpan.End()
 	if err != nil {
 		return sim.Stats{}, nil, err
 	}

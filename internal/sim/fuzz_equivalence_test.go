@@ -4,43 +4,45 @@ import (
 	"testing"
 
 	"morrigan/internal/core"
-	"morrigan/internal/icache"
-	"morrigan/internal/tlbprefetch"
+	"morrigan/internal/machine"
 	"morrigan/internal/trace"
 	"morrigan/internal/workloads"
 )
 
-// fuzzPrefetcher constructs a fresh iSTLB prefetcher for kind index k.
-func fuzzPrefetcher(k uint8) tlbprefetch.Prefetcher {
+// fuzzPrefetcher names an iSTLB prefetcher for kind index k.
+func fuzzPrefetcher(k uint8) machine.PrefetcherSpec {
 	switch k % 7 {
 	case 1:
-		return &tlbprefetch.SP{}
+		return machine.SP()
 	case 2:
-		return tlbprefetch.NewASP(128)
+		return machine.ASP(128)
 	case 3:
-		return tlbprefetch.NewDP(128)
+		return machine.DP(128)
 	case 4:
-		return tlbprefetch.NewMP(64, 4)
+		return machine.MP(64, 4)
 	case 5:
-		return tlbprefetch.NewUnboundedMP(2)
+		return machine.UnboundedMP(2)
 	case 6:
-		return core.New(core.DefaultConfig())
+		return machine.Morrigan(core.DefaultConfig())
 	}
-	return nil
+	return machine.PrefetcherSpec{}
 }
 
-// fuzzICache constructs a fresh I-cache prefetcher for kind index k.
-func fuzzICache(k uint8) icache.Prefetcher {
+// fuzzICache names an I-cache prefetcher for kind index k.
+func fuzzICache(k uint8) machine.ICacheSpec {
 	switch k % 4 {
 	case 1:
-		return icache.DefaultFNLMMA()
+		return machine.FNLMMA()
 	case 2:
-		return icache.DefaultEPI()
+		return machine.EPI()
 	case 3:
-		return icache.DefaultDJolt()
+		return machine.DJolt()
 	}
-	return nil
+	return machine.ICacheSpec{}
 }
+
+// fuzzPageTables indexes the page-table kinds.
+var fuzzPageTables = [...]string{machine.PageTableRadix4, machine.PageTableRadix5, machine.PageTableHashed}
 
 // capReader delivers its reader's records at most k per NextBatch, so the
 // simulator's record buffers run dry at arbitrary points inside SMT blocks.
@@ -82,7 +84,7 @@ func FuzzBatchedLoopEquivalence(f *testing.F) {
 			cfg.Prefetcher = fuzzPrefetcher(pfK)
 			cfg.ICachePrefetcher = fuzzICache(icK)
 			cfg.ICacheTLBCost = icK%4 != 0
-			cfg.PageTable = PageTableKind(ptK % 3)
+			cfg.PageTable = fuzzPageTables[ptK%3]
 			cfg.ContextSwitchInterval = uint64(ctxSwitch)
 			threads := []ThreadSpec{{Reader: wrap(qmm[int(wlK)%len(qmm)].NewReader())}}
 			if smt {

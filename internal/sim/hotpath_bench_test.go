@@ -6,6 +6,7 @@ import (
 
 	"morrigan/internal/arch"
 	"morrigan/internal/core"
+	"morrigan/internal/machine"
 )
 
 // BenchmarkTranslateInstr measures the instruction-side translation path —
@@ -13,7 +14,7 @@ import (
 // over a wandering page working set large enough to keep missing.
 func BenchmarkTranslateInstr(b *testing.B) {
 	cfg := DefaultConfig()
-	cfg.Prefetcher = core.New(core.DefaultConfig())
+	cfg.Prefetcher = machine.Morrigan(core.DefaultConfig())
 	s, err := New(cfg, []ThreadSpec{{Reader: testWorkload()}})
 	if err != nil {
 		b.Fatal(err)
@@ -40,7 +41,7 @@ func BenchmarkTranslateInstr(b *testing.B) {
 // throughput gate tracks.
 func BenchmarkRunMorrigan(b *testing.B) {
 	cfg := DefaultConfig()
-	cfg.Prefetcher = core.New(core.DefaultConfig())
+	cfg.Prefetcher = machine.Morrigan(core.DefaultConfig())
 	s, err := New(cfg, []ThreadSpec{{Reader: testWorkload()}})
 	if err != nil {
 		b.Fatal(err)

@@ -148,7 +148,9 @@ type counters struct {
 }
 
 // New builds a simulator over the given threads (1 for single-threaded runs,
-// more for the SMT/colocation experiments, up to MaxThreads).
+// more for the SMT/colocation experiments, up to MaxThreads). It validates
+// the machine spec and constructs every component, prefetchers included,
+// afresh.
 func New(cfg Config, threads []ThreadSpec) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -156,32 +158,21 @@ func New(cfg Config, threads []ThreadSpec) (*Simulator, error) {
 	if len(threads) < 1 || len(threads) > MaxThreads {
 		return nil, fmt.Errorf("sim: %d threads; supported: 1..%d", len(threads), MaxThreads)
 	}
-	var pt pagetable.Translator
-	switch cfg.PageTable {
-	case PageTableRadix5:
-		pt = pagetable.NewWithLevels(cfg.Seed, 5)
-	case PageTableHashed:
-		pt = pagetable.NewHashed(cfg.Seed, pagetable.DefaultHashedBuckets)
-	default:
-		pt = pagetable.New(cfg.Seed)
-	}
+	pt := cfg.NewPageTable()
 	s := &Simulator{
 		cfg:     cfg,
 		pt:      pt,
 		mem:     cache.NewHierarchy(cfg.Cache),
 		core:    cpu.New(cfg.Core),
+		itlb:    tlb.New("ITLB", cfg.ITLBEntries, cfg.ITLBWays, cfg.ITLBLatency),
+		dtlb:    tlb.New("DTLB", cfg.DTLBEntries, cfg.DTLBWays, cfg.DTLBLatency),
+		stlb:    tlb.New("STLB", cfg.STLBEntries, cfg.STLBWays, cfg.STLBLatency),
 		pb:      tlbprefetch.NewPrefetchBuffer(cfg.PBEntries, cfg.PBLatency),
+		pf:      cfg.Prefetcher.New(),
+		icpf:    cfg.ICachePrefetcher.New(),
 		pending: newPendingTable(),
 	}
-	s.itlb, s.dtlb, s.stlb = cfg.tlbs()
 	s.walker = ptw.New(s.pt, s.mem, cfg.Walker)
-	s.pf, s.icpf = cfg.Prefetcher, cfg.ICachePrefetcher
-	if s.pf == nil {
-		s.pf = tlbprefetch.None{}
-	}
-	if s.icpf == nil {
-		s.icpf = &icache.NextLine{}
-	}
 	for _, ts := range threads {
 		if ts.Reader == nil {
 			return nil, fmt.Errorf("sim: thread with nil reader")
@@ -223,7 +214,7 @@ func New(cfg Config, threads []ThreadSpec) (*Simulator, error) {
 }
 
 // hugeRegionTable resolves the page-table implementation that can host 2 MB
-// regions. Validate already rejects HugeDataPages on hashed tables, but a
+// regions. Spec.Validate already rejects HugeDataPages on hashed tables, but a
 // future radix translator that is not backed by *pagetable.Table must fail
 // cleanly here rather than panicking on the assertion.
 func hugeRegionTable(pt pagetable.Translator) (*pagetable.Table, error) {

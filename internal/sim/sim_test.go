@@ -7,8 +7,7 @@ import (
 
 	"morrigan/internal/arch"
 	"morrigan/internal/core"
-	"morrigan/internal/icache"
-	"morrigan/internal/tlbprefetch"
+	"morrigan/internal/machine"
 	"morrigan/internal/trace"
 	"morrigan/internal/workloads"
 )
@@ -103,7 +102,7 @@ func TestPerfectISTLBIsFaster(t *testing.T) {
 
 func TestMorriganCoversMisses(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Prefetcher = core.New(core.DefaultConfig())
+	cfg.Prefetcher = machine.Morrigan(core.DefaultConfig())
 	s := mustNew(t, cfg, []ThreadSpec{{Reader: testWorkload()}})
 	st, err := s.Run(200_000, 800_000)
 	if err != nil {
@@ -130,7 +129,7 @@ func TestMorriganCoversMisses(t *testing.T) {
 }
 
 func TestMorriganBeatsBaselineAndMP(t *testing.T) {
-	run := func(pf tlbprefetch.Prefetcher) Stats {
+	run := func(pf machine.PrefetcherSpec) Stats {
 		cfg := DefaultConfig()
 		cfg.Prefetcher = pf
 		s := mustNew(t, cfg, []ThreadSpec{{Reader: testWorkload()}})
@@ -140,9 +139,9 @@ func TestMorriganBeatsBaselineAndMP(t *testing.T) {
 		}
 		return st
 	}
-	base := run(nil)
-	mp := run(tlbprefetch.NewMP(128, 4))
-	mor := run(core.New(core.DefaultConfig()))
+	base := run(machine.PrefetcherSpec{})
+	mp := run(machine.MP(128, 4))
+	mor := run(machine.Morrigan(core.DefaultConfig()))
 	if mor.Cycles >= base.Cycles {
 		t.Fatalf("Morrigan slower than baseline: %d vs %d", mor.Cycles, base.Cycles)
 	}
@@ -156,7 +155,7 @@ func TestMorriganBeatsBaselineAndMP(t *testing.T) {
 
 func TestPrefetchIntoSTLBMode(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Prefetcher = core.New(core.DefaultConfig())
+	cfg.Prefetcher = machine.Morrigan(core.DefaultConfig())
 	cfg.PrefetchIntoSTLB = true
 	s := mustNew(t, cfg, []ThreadSpec{{Reader: testWorkload()}})
 	st, err := s.Run(50_000, 200_000)
@@ -208,7 +207,7 @@ func TestSMTColocationIncreasesPressure(t *testing.T) {
 func TestFNLMMAWithTLBCost(t *testing.T) {
 	mk := func(tlbCost bool) Stats {
 		cfg := DefaultConfig()
-		cfg.ICachePrefetcher = icache.DefaultFNLMMA()
+		cfg.ICachePrefetcher = machine.FNLMMA()
 		cfg.ICacheTLBCost = tlbCost
 		s := mustNew(t, cfg, []ThreadSpec{{Reader: testWorkload()}})
 		st, err := s.Run(100_000, 500_000)
@@ -230,7 +229,7 @@ func TestFNLMMAWithTLBCost(t *testing.T) {
 	// must upper-bound the realistic FNL+MMA+TLB configuration.
 	ideal := func() Stats {
 		cfg := DefaultConfig()
-		cfg.ICachePrefetcher = icache.DefaultFNLMMA()
+		cfg.ICachePrefetcher = machine.FNLMMA()
 		cfg.PerfectISTLB = true
 		s := mustNew(t, cfg, []ThreadSpec{{Reader: testWorkload()}})
 		st, err := s.Run(100_000, 500_000)
@@ -247,10 +246,10 @@ func TestFNLMMAWithTLBCost(t *testing.T) {
 func TestMorriganHelpsFNLMMA(t *testing.T) {
 	mk := func(withMorrigan bool) Stats {
 		cfg := DefaultConfig()
-		cfg.ICachePrefetcher = icache.DefaultFNLMMA()
+		cfg.ICachePrefetcher = machine.FNLMMA()
 		cfg.ICacheTLBCost = true
 		if withMorrigan {
-			cfg.Prefetcher = core.New(core.DefaultConfig())
+			cfg.Prefetcher = machine.Morrigan(core.DefaultConfig())
 		}
 		s := mustNew(t, cfg, []ThreadSpec{{Reader: testWorkload()}})
 		st, err := s.Run(200_000, 800_000)
@@ -335,7 +334,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.STLBWays = 0 },
 		func(c *Config) { c.PBEntries = 0 },
 		func(c *Config) { c.SMTBlock = 0 },
-		func(c *Config) { c.PerfectISTLB = true; c.Prefetcher = &tlbprefetch.SP{} },
+		func(c *Config) { c.PerfectISTLB = true; c.Prefetcher = machine.SP() },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig()
@@ -373,7 +372,7 @@ func TestNWayColocationPerThreadStats(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig()
-	cfg.Prefetcher = core.New(core.DefaultConfig())
+	cfg.Prefetcher = machine.Morrigan(core.DefaultConfig())
 	s := mustNew(t, cfg, threads)
 	st, err := s.Run(20_000, 200_000)
 	if err != nil {
@@ -451,7 +450,7 @@ func TestWarmupResetsStats(t *testing.T) {
 }
 
 func TestPageTableKinds(t *testing.T) {
-	for _, kind := range []PageTableKind{PageTableRadix4, PageTableRadix5, PageTableHashed} {
+	for _, kind := range []string{machine.PageTableRadix4, machine.PageTableRadix5, machine.PageTableHashed} {
 		cfg := DefaultConfig()
 		cfg.PageTable = kind
 		s := mustNew(t, cfg, []ThreadSpec{{Reader: testWorkload()}})
@@ -466,7 +465,7 @@ func TestPageTableKinds(t *testing.T) {
 }
 
 func TestRadix5WalksCostMore(t *testing.T) {
-	run := func(kind PageTableKind) Stats {
+	run := func(kind string) Stats {
 		cfg := DefaultConfig()
 		cfg.PageTable = kind
 		s := mustNew(t, cfg, []ThreadSpec{{Reader: testWorkload()}})
@@ -476,8 +475,8 @@ func TestRadix5WalksCostMore(t *testing.T) {
 		}
 		return st
 	}
-	r4 := run(PageTableRadix4)
-	r5 := run(PageTableRadix5)
+	r4 := run(machine.PageTableRadix4)
+	r5 := run(machine.PageTableRadix5)
 	// The PML5 level is not PSC-cached, so 5-level walks reference memory
 	// at least as often (Section 4.3: the extra level can lengthen walks).
 	if r5.RefsPerWalk < r4.RefsPerWalk {
@@ -487,7 +486,7 @@ func TestRadix5WalksCostMore(t *testing.T) {
 
 func TestHashedTableSingleRefWalks(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PageTable = PageTableHashed
+	cfg.PageTable = machine.PageTableHashed
 	s := mustNew(t, cfg, []ThreadSpec{{Reader: testWorkload()}})
 	st, err := s.Run(100_000, 400_000)
 	if err != nil {
@@ -504,8 +503,8 @@ func TestHashedTableSingleRefWalks(t *testing.T) {
 
 func TestMorriganWorksOverHashedTable(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PageTable = PageTableHashed
-	cfg.Prefetcher = core.New(core.DefaultConfig())
+	cfg.PageTable = machine.PageTableHashed
+	cfg.Prefetcher = machine.Morrigan(core.DefaultConfig())
 	s := mustNew(t, cfg, []ThreadSpec{{Reader: testWorkload()}})
 	st, err := s.Run(200_000, 800_000)
 	if err != nil {
@@ -577,7 +576,7 @@ func TestFastForwardContextSwitchClock(t *testing.T) {
 func TestMorriganRecoversAfterContextSwitches(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ContextSwitchInterval = 100_000
-	cfg.Prefetcher = core.New(core.DefaultConfig())
+	cfg.Prefetcher = machine.Morrigan(core.DefaultConfig())
 	s := mustNew(t, cfg, []ThreadSpec{{Reader: testWorkload()}})
 	st, err := s.Run(200_000, 800_000)
 	if err != nil {
@@ -596,7 +595,7 @@ func TestMorriganRecoversAfterContextSwitches(t *testing.T) {
 func TestCorrectingWalksResetAccessedBits(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CorrectingWalks = true
-	cfg.Prefetcher = core.New(core.DefaultConfig())
+	cfg.Prefetcher = machine.Morrigan(core.DefaultConfig())
 	s := mustNew(t, cfg, []ThreadSpec{{Reader: testWorkload()}})
 	st, err := s.Run(200_000, 800_000)
 	if err != nil {
@@ -646,7 +645,7 @@ func TestHugeDataPagesReduceDataMisses(t *testing.T) {
 func TestHugeDataPagesRejectHashedTable(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HugeDataPages = true
-	cfg.PageTable = PageTableHashed
+	cfg.PageTable = machine.PageTableHashed
 	if _, err := New(cfg, []ThreadSpec{{Reader: testWorkload()}}); err == nil {
 		t.Fatal("huge pages over a hashed table accepted")
 	}
@@ -660,7 +659,7 @@ func TestHugeDataPagesWithMorrigan(t *testing.T) {
 	qmm := workloads.QMM()
 	cfg := DefaultConfig()
 	cfg.HugeDataPages = true
-	cfg.Prefetcher = core.New(core.ScaledConfig(2))
+	cfg.Prefetcher = machine.Morrigan(core.ScaledConfig(2))
 	s := mustNew(t, cfg, []ThreadSpec{
 		{Reader: qmm[40].NewReader()},
 		{Reader: qmm[43].NewReader(), VAOffset: 1 << 40},

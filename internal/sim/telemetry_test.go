@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"morrigan/internal/core"
+	"morrigan/internal/machine"
 	"morrigan/internal/telemetry"
 )
 
 // telemetryConfig is the default machine with Morrigan attached and a probe.
 func telemetryConfig(probe *telemetry.Probe) Config {
 	cfg := DefaultConfig()
-	cfg.Prefetcher = core.New(core.DefaultConfig())
+	cfg.Prefetcher = machine.Morrigan(core.DefaultConfig())
 	cfg.Probe = probe
 	return cfg
 }

@@ -23,8 +23,8 @@
 // # Quick start
 //
 //	w, _ := morrigan.WorkloadByName("qmm-srv-07")
-//	cfg := morrigan.DefaultConfig()
-//	cfg.Prefetcher = morrigan.NewMorrigan(morrigan.DefaultPrefetcherConfig())
+//	cfg := morrigan.DefaultConfig() // the paper's Table 1 machine, as data
+//	cfg.Prefetcher = morrigan.MorriganMachineSpec(morrigan.DefaultPrefetcherConfig())
 //	s, err := morrigan.NewSimulator(cfg, []morrigan.ThreadSpec{{Reader: w.NewReader()}})
 //	if err != nil { ... }
 //	stats, err := s.Run(1_000_000, 5_000_000) // warmup, measure
@@ -39,10 +39,8 @@ import (
 
 	"morrigan/internal/arch"
 	"morrigan/internal/core"
-	"morrigan/internal/icache"
 	"morrigan/internal/machine"
 	"morrigan/internal/sim"
-	"morrigan/internal/tlbprefetch"
 	"morrigan/internal/trace"
 	"morrigan/internal/workloads"
 )
@@ -61,7 +59,8 @@ type (
 
 // Simulator types.
 type (
-	// Config describes one simulated machine (Table 1 of the paper).
+	// Config is one simulated machine (an embedded MachineSpec, Table 1 of
+	// the paper by default) plus the hooks a run attaches to it.
 	Config = sim.Config
 	// Stats is the measurement snapshot of a simulation interval.
 	Stats = sim.Stats
@@ -72,26 +71,20 @@ type (
 	// Progress is a running simulation's live counters, as Config.OnProgress
 	// and CampaignObserver.JobProgress receive them.
 	Progress = sim.Progress
-	// PageTableKind selects the page-table organisation (Section 4.3).
-	PageTableKind = sim.PageTableKind
 )
 
-// Page table organisations.
+// Page table organisations (Section 4.3), the values of Config.PageTable.
 const (
 	// PageTableRadix4 is the default x86-64 4-level radix tree.
-	PageTableRadix4 = sim.PageTableRadix4
+	PageTableRadix4 = machine.PageTableRadix4
 	// PageTableRadix5 adds the PML5 level (5-level paging).
-	PageTableRadix5 = sim.PageTableRadix5
+	PageTableRadix5 = machine.PageTableRadix5
 	// PageTableHashed is a clustered hashed page table.
-	PageTableHashed = sim.PageTableHashed
+	PageTableHashed = machine.PageTableHashed
 )
 
 // Prefetcher types.
 type (
-	// Prefetcher is the STLB prefetch engine interface.
-	Prefetcher = tlbprefetch.Prefetcher
-	// Request is one prefetch candidate.
-	Request = tlbprefetch.Request
 	// MorriganPrefetcher is the paper's composite prefetcher (IRIP + SDP).
 	MorriganPrefetcher = core.Morrigan
 	// PrefetcherConfig parameterises Morrigan.
@@ -128,8 +121,8 @@ type (
 func DefaultConfig() Config { return sim.DefaultConfig() }
 
 // Machine specs: declarative, JSON-serialisable machine descriptions with a
-// stable content hash. A spec is pure data — Build turns it into a live
-// Config (fresh prefetcher state and all), and Hash gives campaigns a
+// stable content hash. A spec is pure data — NewSimulator builds fresh
+// prefetcher state from the one a Config embeds, and Hash gives campaigns a
 // machine identity for checkpointing and cross-experiment result reuse.
 type (
 	// MachineSpec describes one simulated machine as data.
@@ -142,15 +135,16 @@ type (
 	MorriganSpec = machine.MorriganSpec
 )
 
-// DefaultMachineSpec returns the Table 1 machine as a declarative spec;
-// DefaultMachineSpec().Build() is equivalent to DefaultConfig().
+// DefaultMachineSpec returns the Table 1 machine as a declarative spec, the
+// one DefaultConfig embeds.
 func DefaultMachineSpec() MachineSpec { return machine.Default() }
 
 // MorriganMachineSpec returns the Morrigan prefetcher spec for cfg.
 func MorriganMachineSpec(cfg PrefetcherConfig) MachinePrefetcherSpec { return machine.Morrigan(cfg) }
 
-// Machine-spec constructors for the named prefetchers — the same vocabulary
-// as the New* constructors above, but as data.
+// Machine-spec constructors for the named prefetchers: the baseline dSTLB
+// prefetchers of Section 2.1 and the I-cache prefetchers of Sections 3.5 and
+// 6.5, as the values of Config.Prefetcher and Config.ICachePrefetcher.
 
 // SPSpec is the Sequential Prefetcher as a spec.
 func SPSpec() MachinePrefetcherSpec { return machine.SP() }
@@ -168,13 +162,16 @@ func MPSpec(entries, ways int) MachinePrefetcherSpec { return machine.MP(entries
 // means unlimited successors per entry.
 func UnboundedMPSpec(maxSucc int) MachinePrefetcherSpec { return machine.UnboundedMP(maxSucc) }
 
-// FNLMMASpec is the FNL+MMA-style I-cache prefetcher as a spec.
+// FNLMMASpec is the FNL+MMA-style page-crossing I-cache prefetcher (the
+// IPC-1 winner the paper carries into Sections 6.5/6.6) as a spec.
 func FNLMMASpec() MachineICacheSpec { return machine.FNLMMA() }
 
-// EPISpec is the entangling-style I-cache prefetcher as a spec.
+// EPISpec is the entangling-style I-cache prefetcher, one of the IPC-1 top
+// performers of the Section 3.5 selection study, as a spec.
 func EPISpec() MachineICacheSpec { return machine.EPI() }
 
-// DJoltSpec is the D-Jolt-style I-cache prefetcher as a spec.
+// DJoltSpec is the D-Jolt-style I-cache prefetcher, one of the IPC-1 top
+// performers of the Section 3.5 selection study, as a spec.
 func DJoltSpec() MachineICacheSpec { return machine.DJolt() }
 
 // LoadMachineSpec parses a machine spec from its JSON form, rejecting
@@ -185,12 +182,14 @@ func LoadMachineSpec(r io.Reader) (MachineSpec, error) { return machine.Load(r) 
 // LoadMachineSpec.
 func SaveMachineSpec(w io.Writer, s MachineSpec) error { return machine.Save(w, s) }
 
-// NewSimulator builds a simulator over one or two threads.
+// NewSimulator builds a simulator over 1 to 16 threads, validating the
+// machine cfg embeds and constructing its prefetchers afresh.
 func NewSimulator(cfg Config, threads []ThreadSpec) (*Simulator, error) {
 	return sim.New(cfg, threads)
 }
 
-// NewMorrigan builds the composite prefetcher from cfg.
+// NewMorrigan builds the composite prefetcher from cfg, for inspecting it
+// outside a simulator (storage accounting, direct OnMiss calls).
 func NewMorrigan(cfg PrefetcherConfig) *MorriganPrefetcher { return core.New(cfg) }
 
 // DefaultPrefetcherConfig returns the paper's selected 3.76 KB Morrigan
@@ -205,46 +204,6 @@ func MonoPrefetcherConfig() PrefetcherConfig { return core.MonoConfig() }
 // storage-budget sweeps of Figures 13/14 and the SMT doubling of Section
 // 6.6).
 func ScaledPrefetcherConfig(factor float64) PrefetcherConfig { return core.ScaledConfig(factor) }
-
-// Baseline dSTLB prefetchers (Section 2.1).
-
-// NewSP returns the Sequential Prefetcher.
-func NewSP() Prefetcher { return &tlbprefetch.SP{} }
-
-// NewASP returns the Arbitrary Stride Prefetcher with the given table size.
-func NewASP(entries int) Prefetcher { return tlbprefetch.NewASP(entries) }
-
-// NewDP returns the Distance Prefetcher with the given table size.
-func NewDP(entries int) Prefetcher { return tlbprefetch.NewDP(entries) }
-
-// NewMP returns the Markov Prefetcher with the given geometry.
-func NewMP(entries, ways int) Prefetcher { return tlbprefetch.NewMP(entries, ways) }
-
-// NewUnboundedMP returns the Section 3.4 idealization; maxSucc <= 0 means
-// unlimited successors per entry.
-func NewUnboundedMP(maxSucc int) Prefetcher { return tlbprefetch.NewUnboundedMP(maxSucc) }
-
-// I-cache prefetchers (Sections 3.5 and 6.5).
-type (
-	// ICachePrefetcher produces instruction-cache prefetch candidates.
-	ICachePrefetcher = icache.Prefetcher
-)
-
-// NewNextLinePrefetcher returns the baseline next-line I-cache prefetcher,
-// which never crosses page boundaries.
-func NewNextLinePrefetcher() ICachePrefetcher { return &icache.NextLine{} }
-
-// NewFNLMMA returns the FNL+MMA-style page-crossing I-cache prefetcher (the
-// IPC-1 winner the paper carries into Sections 6.5/6.6).
-func NewFNLMMA() ICachePrefetcher { return icache.DefaultFNLMMA() }
-
-// NewEPI returns the entangling-style I-cache prefetcher, one of the IPC-1
-// top performers of the Section 3.5 selection study.
-func NewEPI() ICachePrefetcher { return icache.DefaultEPI() }
-
-// NewDJolt returns the D-Jolt-style I-cache prefetcher, one of the IPC-1
-// top performers of the Section 3.5 selection study.
-func NewDJolt() ICachePrefetcher { return icache.DefaultDJolt() }
 
 // Workload suites (Section 5).
 

@@ -15,7 +15,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal("workload missing")
 	}
 	cfg := morrigan.DefaultConfig()
-	cfg.Prefetcher = morrigan.NewMorrigan(morrigan.DefaultPrefetcherConfig())
+	cfg.Prefetcher = morrigan.MorriganMachineSpec(morrigan.DefaultPrefetcherConfig())
 	s, err := morrigan.NewSimulator(cfg, []morrigan.ThreadSpec{{Reader: w.NewReader()}})
 	if err != nil {
 		t.Fatal(err)
@@ -26,30 +26,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	if st.Instructions != 1_200_000 || st.PBHits == 0 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestPublicBaselineConstructors(t *testing.T) {
-	for name, pf := range map[string]morrigan.Prefetcher{
-		"sp":    morrigan.NewSP(),
-		"asp":   morrigan.NewASP(64),
-		"dp":    morrigan.NewDP(64),
-		"mp":    morrigan.NewMP(128, 4),
-		"mpinf": morrigan.NewUnboundedMP(0),
-	} {
-		if pf == nil {
-			t.Errorf("%s: nil prefetcher", name)
-		}
-	}
-	for name, pf := range map[string]morrigan.ICachePrefetcher{
-		"nextline": morrigan.NewNextLinePrefetcher(),
-		"fnlmma":   morrigan.NewFNLMMA(),
-		"epi":      morrigan.NewEPI(),
-		"djolt":    morrigan.NewDJolt(),
-	} {
-		if pf == nil {
-			t.Errorf("%s: nil I-cache prefetcher", name)
-		}
 	}
 }
 
