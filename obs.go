@@ -16,9 +16,9 @@ type (
 	// CampaignStarted, then for every job simulated in this process, full or
 	// sampled, JobStarted, JobProgress with the live counters (every 65,536
 	// instructions and at the end of each run) and JobFinished, all on the
-	// job's worker goroutine. Reused and remotely executed jobs get only
-	// JobFinished. Implementations must be safe for concurrent use across
-	// workers, and JobProgress must be fast.
+	// job's worker goroutine. Remotely executed jobs get JobStarted and
+	// JobFinished; reused ones get only JobFinished. Implementations must be
+	// safe for concurrent use across workers, and JobProgress must be fast.
 	CampaignObserver = runner.Observer
 	// ObservabilityServer is the HTTP observability server. Construct with
 	// NewObservabilityServer, attach as a CampaignObserver, then either
