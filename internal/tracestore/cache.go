@@ -14,7 +14,7 @@ const DefaultCacheBytes int64 = 512 << 20
 
 // Cache is a ref-counted, byte-budgeted LRU of decoded chunks shared by
 // every reader of a store. Concurrent jobs streaming the same workload
-// acquire the same entry, so each chunk is decompressed once per residency:
+// acquire the same entry, so each chunk is decoded once per residency:
 // the first acquirer decodes while later acquirers wait on the in-flight
 // decode (single-flight), and an acquired chunk is pinned — never evicted —
 // until every holder releases it. Only unpinned chunks count against the
@@ -51,7 +51,7 @@ type centry struct {
 type CacheStats struct {
 	// Gets counts acquire calls; Gets = Hits + Misses.
 	Gets, Hits, Misses uint64
-	// Decodes counts chunk decompressions (== Misses).
+	// Decodes counts chunk decodes (== Misses).
 	Decodes uint64
 	// Evictions counts entries dropped to stay inside the byte budget.
 	Evictions uint64

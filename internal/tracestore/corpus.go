@@ -80,13 +80,7 @@ func (c *Corpus) Workload() string { return c.workload }
 // Chunk describes chunk i.
 func (c *Corpus) Chunk(i int) ChunkInfo {
 	ci := c.chunks[i]
-	return ChunkInfo{
-		Offset:          ci.offset,
-		Records:         ci.records,
-		CompressedLen:   ci.clen,
-		UncompressedLen: ci.ulen,
-		CRC32C:          ci.crc,
-	}
+	return ChunkInfo{Offset: ci.offset, Records: ci.records, Bytes: ci.size, CRC32C: ci.crc}
 }
 
 // Close releases the underlying file, if the corpus owns one. Readers must
@@ -98,12 +92,12 @@ func (c *Corpus) Close() error {
 	return nil
 }
 
-// readFrame fetches chunk i's compressed frame and checks it against the
-// index's CRC-32C: a damaged frame can still inflate to the indexed length
-// with wrong records, which only the checksum catches.
+// readFrame fetches chunk i's frame and checks it against the index's
+// CRC-32C: a damaged frame can still decode to the indexed record count and
+// length with wrong records, which only the checksum catches.
 func (c *Corpus) readFrame(i int) ([]byte, error) {
 	ci := c.chunks[i]
-	frame := make([]byte, ci.clen)
+	frame := make([]byte, ci.size)
 	if _, err := c.src.ReadAt(frame, ci.offset); err != nil {
 		return nil, corrupt("chunk %d: reading frame: %v", i, err)
 	}
@@ -120,7 +114,7 @@ func (c *Corpus) decode(i int) ([]trace.Record, error) {
 		return nil, err
 	}
 	ci := c.chunks[i]
-	recs, err := decodeChunk(frame, ci.records, ci.ulen, make([]trace.Record, 0, decodeCap(ci.records)))
+	recs, err := decodeChunk(frame, ci.records, make([]trace.Record, 0, decodeCap(ci.records)))
 	if err != nil {
 		return nil, fmt.Errorf("chunk %d: %w", i, err)
 	}
@@ -153,7 +147,7 @@ func (c *Corpus) acquire(i int) ([]trace.Record, func(), error) {
 }
 
 // VerifyChunk decodes chunk i, which checks its frame checksum, record count
-// and uncompressed length against the index.
+// and frame length against the index.
 func (c *Corpus) VerifyChunk(i int) error {
 	_, err := c.decode(i)
 	return err

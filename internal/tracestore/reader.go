@@ -7,10 +7,10 @@ import (
 )
 
 // DefaultReadAhead is the reader's decode-ahead depth: how many chunks are
-// in flight (being fetched from disk, decompressed, or waiting decoded)
-// beyond the one being consumed. Depth 3 keeps several decodes running
-// concurrently, so the consuming simulation thread almost never waits on
-// decompression.
+// in flight (being fetched from disk, decoded, or waiting decoded) beyond
+// the one being consumed. Depth 3 keeps several decodes running
+// concurrently, so the consuming simulation thread almost never waits on a
+// decode.
 const DefaultReadAhead = 3
 
 // Reader streams a corpus in record order. It implements trace.Reader,
