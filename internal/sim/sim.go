@@ -731,22 +731,10 @@ func (s *Simulator) reportProgress() {
 	}
 }
 
-// Probe exposes the attached telemetry probe (nil when telemetry is off).
-func (s *Simulator) Probe() *telemetry.Probe { return s.probe }
-
 // Executed returns the total instructions stepped since construction, warmup
 // included; unlike Stats.Instructions it is never reset, so it divides by
 // wall-clock time into an honest simulation-throughput figure.
 func (s *Simulator) Executed() uint64 { return s.executed }
 
-// Walker exposes the page walker (tests and experiments read its PSC).
-func (s *Simulator) Walker() *ptw.Walker { return s.walker }
-
-// Core exposes the timing model.
-func (s *Simulator) Core() *cpu.Core { return s.core }
-
 // Hierarchy exposes the cache hierarchy.
 func (s *Simulator) Hierarchy() *cache.Hierarchy { return s.mem }
-
-// PageTable exposes the simulated page table.
-func (s *Simulator) PageTable() pagetable.Translator { return s.pt }
