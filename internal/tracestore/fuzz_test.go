@@ -2,7 +2,9 @@ package tracestore
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"slices"
 	"testing"
 
 	"morrigan/internal/trace"
@@ -66,6 +68,42 @@ func FuzzChunkReader(f *testing.F) {
 			if n > c.Records() {
 				t.Fatalf("stream produced more records than the index declares")
 			}
+		}
+	})
+}
+
+// FuzzDecodeChunk feeds decodeChunk arbitrary frames directly. Through a
+// container the frame CRC rejects nearly every mutated frame before it is
+// decoded, so FuzzChunkReader alone seldom reaches the decoder's checks; a
+// crafted container with valid CRCs reaches them all. A frame must decode
+// to exactly the requested record count or fail with ErrCorrupt, never
+// panic, and what it decodes to must survive an encode/decode round trip.
+func FuzzDecodeChunk(f *testing.F) {
+	recs := genRecords(f, 300)
+	for _, n := range []int{1, 7, 300} {
+		frame, _ := encodeChunk(recs[:n])
+		f.Add(frame, uint16(n))
+		f.Add(frame, uint16(n+1))
+		f.Add(frame[:len(frame)-1], uint16(n))
+	}
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{}, uint16(1))
+
+	f.Fuzz(func(t *testing.T, frame []byte, want uint16) {
+		got, err := decodeChunk(frame, uint64(want), nil)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decodeChunk error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		if len(got) != int(want) {
+			t.Fatalf("decodeChunk returned %d records, want %d", len(got), want)
+		}
+		again, _ := encodeChunk(got)
+		back, err := decodeChunk(again, uint64(want), nil)
+		if err != nil || !slices.Equal(back, got) {
+			t.Fatalf("re-encoded records decode to %d records, %v", len(back), err)
 		}
 	})
 }
