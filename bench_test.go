@@ -86,28 +86,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(b.N), "instructions")
 }
 
-// BenchmarkSimulatorTelemetry is BenchmarkSimulatorThroughput with a
-// telemetry probe attached — comparing the two bounds the observability
-// overhead on the enabled path (the disabled path is a nil check).
-func BenchmarkSimulatorTelemetry(b *testing.B) {
-	w := morrigan.QMMWorkloads()[10]
-	cfg := morrigan.DefaultConfig()
-	cfg.Prefetcher = morrigan.MorriganMachineSpec(morrigan.DefaultPrefetcherConfig())
-	cfg.Probe = morrigan.NewTelemetryProbe(morrigan.DefaultTelemetryConfig())
-	s, err := morrigan.NewSimulator(cfg, []morrigan.ThreadSpec{{Reader: w.NewReader()}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := s.Run(100_000, 1); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if _, err := s.Run(0, uint64(b.N)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(b.N), "instructions")
-}
-
 // BenchmarkTraceGeneration measures synthetic trace production speed.
 func BenchmarkTraceGeneration(b *testing.B) {
 	gen := morrigan.NewServerTrace(morrigan.QMMWorkloads()[0].Params)

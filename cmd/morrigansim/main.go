@@ -60,8 +60,6 @@ func run() (err error) {
 		pb        = flag.Int("pb", 64, "prefetch buffer entries")
 		warmup    = flag.Uint64("warmup", 1_000_000, "warmup instructions")
 		measure   = flag.Uint64("measure", 5_000_000, "measured instructions")
-		interval  = flag.Uint64("interval", 0, "telemetry sampling interval in instructions (0 = default 100000)")
-		events    = flag.Int("events", 0, "telemetry event-ring capacity (0 = default 4096, negative disables the event trace)")
 		confIn    = flag.String("config", "", "load the machine spec from this JSON file (overrides the machine flags)")
 		confOut   = flag.String("dump-config", "", "write the machine spec as JSON to this file ('-' for stdout) and exit")
 		list      = flag.Bool("list", false, "list built-in workloads and exit")
@@ -167,11 +165,7 @@ func run() (err error) {
 		return nil
 	}
 
-	opt := c.Runner()
-	if opt.Telemetry != nil {
-		opt.Telemetry.Config = morrigan.TelemetryConfig{Interval: *interval, EventBuffer: *events}
-	}
-	campaignResults, err := morrigan.RunCampaign(c.Context, cjobs, opt)
+	campaignResults, err := morrigan.RunCampaign(c.Context, cjobs, c.Runner())
 	c.Records.Add(campaignResults)
 
 	for i, res := range campaignResults {

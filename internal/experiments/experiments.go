@@ -55,9 +55,9 @@ type Options struct {
 	// Record, when non-nil, collects every simulation result for
 	// machine-readable JSON/CSV emission (see internal/runner).
 	Record *runner.Recorder
-	// Telemetry, when non-nil, attaches a telemetry probe to every
-	// simulation and writes one JSONL file per job into Telemetry.Dir
-	// (see internal/telemetry). Rendered tables are unaffected.
+	// Telemetry, when non-nil, writes one JSONL time series per full-run job
+	// into Telemetry.Dir, built from the job's progress reports (see
+	// internal/telemetry). Rendered tables are unaffected.
 	Telemetry *runner.TelemetryOptions
 	// Observer, when non-nil, receives campaign lifecycle notifications for
 	// every campaign an experiment launches (see internal/obs for the HTTP

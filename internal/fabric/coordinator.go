@@ -74,6 +74,19 @@ type jobEntry struct {
 	result     runner.Result // valid once state == stateDone
 	done       chan struct{} // closed when state becomes stateDone
 	enqueuedNS int64         // trace clock at enumeration (0 without tracing)
+	// leased is closed when a worker first leases the key, or when Close
+	// fails the job before any worker did; a requeued lease leaves it be.
+	leased chan struct{}
+}
+
+// markLeased closes e.leased unless an earlier lease already did. Caller
+// holds c.mu.
+func (e *jobEntry) markLeased() {
+	select {
+	case <-e.leased:
+	default:
+		close(e.leased)
+	}
 }
 
 // lease is one live grant of a job to a worker.
@@ -191,6 +204,7 @@ func (c *Coordinator) Close() error {
 		if e.state != stateDone {
 			e.state = stateDone
 			e.result = runner.Result{Job: e.job, Err: errors.New("fabric: coordinator closed")}
+			e.markLeased()
 			close(e.done)
 		}
 	}
@@ -241,8 +255,11 @@ var _ runner.RemoteExecutor = (*Coordinator)(nil)
 // ExecuteRemote enqueues the job for worker execution and blocks until a
 // worker submits its result (or ctx ends, or the coordinator closes).
 // Concurrent calls with equal keys share one enumeration: the job crosses
-// the wire once and every caller receives the same result.
-func (c *Coordinator) ExecuteRemote(ctx context.Context, job runner.Job, key string) (runner.Result, error) {
+// the wire once and every caller receives the same result. started, when
+// non-nil, runs once on the calling goroutine: when a worker first leases
+// the key, or at once if the key is already leased or done. A requeued lease
+// does not run it again.
+func (c *Coordinator) ExecuteRemote(ctx context.Context, job runner.Job, key string, started func()) (runner.Result, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -251,7 +268,7 @@ func (c *Coordinator) ExecuteRemote(ctx context.Context, job runner.Job, key str
 	e, ok := c.entries[key]
 	if !ok {
 		e = &jobEntry{key: key, job: job, state: statePending, done: make(chan struct{}),
-			enqueuedNS: c.opt.Spans.Now()}
+			enqueuedNS: c.opt.Spans.Now(), leased: make(chan struct{})}
 		c.entries[key] = e
 		c.queue = append(c.queue, key)
 		for _, w := range job.Workloads {
@@ -261,6 +278,14 @@ func (c *Coordinator) ExecuteRemote(ctx context.Context, job runner.Job, key str
 	}
 	c.mu.Unlock()
 
+	select {
+	case <-e.leased:
+		if started != nil {
+			started()
+		}
+	case <-ctx.Done():
+		return runner.Result{}, ctx.Err()
+	}
 	select {
 	case <-e.done:
 	case <-ctx.Done():
@@ -364,6 +389,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			}
 			c.leases[l.id] = l
 			e.state = stateLeased
+			e.markLeased()
 			ws.activeLeases++
 			if c.opt.Spans != nil {
 				c.opt.Spans.Record(spans.Span{

@@ -28,7 +28,7 @@ func TestFabricDrainWaitsForOutstandingLeases(t *testing.T) {
 	}
 	resCh := make(chan runner.Result, 1)
 	go func() {
-		res, err := coord.ExecuteRemote(context.Background(), jobs[0], key)
+		res, err := coord.ExecuteRemote(context.Background(), jobs[0], key, nil)
 		if err != nil {
 			t.Error(err)
 		}
@@ -60,7 +60,7 @@ func TestFabricDrainWaitsForOutstandingLeases(t *testing.T) {
 	// lease is granted for them.
 	key2, _ := jobs[1].Key()
 	go func() {
-		_, _ = coord.ExecuteRemote(context.Background(), jobs[1], key2) // unblocked by Close
+		_, _ = coord.ExecuteRemote(context.Background(), jobs[1], key2, nil) // unblocked by Close
 	}()
 	time.Sleep(50 * time.Millisecond) // let the second job enqueue
 	var l2 leaseResponse

@@ -294,7 +294,7 @@ func TestFabricLeaseExpiryAndMismatch(t *testing.T) {
 	}
 	resCh := make(chan runner.Result, 1)
 	go func() {
-		res, err := coord.ExecuteRemote(context.Background(), job, key)
+		res, err := coord.ExecuteRemote(context.Background(), job, key, nil)
 		if err != nil {
 			t.Error(err)
 		}
@@ -430,7 +430,7 @@ func TestFabricCoordinatorCloseUnblocks(t *testing.T) {
 	key, _ := job.Key()
 	errCh := make(chan error, 1)
 	go func() {
-		res, err := coord.ExecuteRemote(context.Background(), job, key)
+		res, err := coord.ExecuteRemote(context.Background(), job, key, nil)
 		if err != nil {
 			errCh <- err
 			return
@@ -456,7 +456,7 @@ func TestFabricCoordinatorCloseUnblocks(t *testing.T) {
 		t.Fatal("ExecuteRemote still blocked after coordinator close")
 	}
 	// New work is refused after close.
-	if _, err := coord.ExecuteRemote(context.Background(), job, key); err == nil {
+	if _, err := coord.ExecuteRemote(context.Background(), job, key, nil); err == nil {
 		t.Fatal("ExecuteRemote accepted work after close")
 	}
 }
@@ -493,7 +493,7 @@ func TestFabricHealthEndpoints(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		coord.ExecuteRemote(ctx, job, key)
+		coord.ExecuteRemote(ctx, job, key, nil)
 	}()
 	for {
 		if st := coord.Status(); st.JobsPending == 1 {

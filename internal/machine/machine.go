@@ -30,7 +30,7 @@ import (
 // Spec describes one simulated machine as data. The zero value is not a
 // valid machine; start from Default() and mutate. Every field is
 // JSON-serializable and folded into Hash(); the runtime-only hooks sim.Config
-// adds around it (OnISTLBMiss, OnProgress, Probe) are attached per run, not
+// adds around it (OnISTLBMiss, OnProgress) are attached per run, not
 // part of the machine's identity.
 type Spec struct {
 	// Seed drives the OS frame allocator.

@@ -20,10 +20,13 @@
 // Every job the runner simulates, full or sampled, reports its counters
 // through one path: the simulator's progress hook (sim.Config.OnProgress)
 // calls Observer.JobProgress on the simulation goroutine, and the server
-// keeps each job's latest report. The server is purely observational — it
-// only copies the reported values — so an attached server leaves campaign
-// results bit-identical to an unobserved run. When no server is constructed
-// (the -serve flag unset), none of this code runs at all.
+// keeps each job's latest report. The same reports build the runner's
+// telemetry files: a counter added to telemetry.Sample reaches both, shown
+// here through jobCounters and in the JSONL series through IntervalSample.
+// The server is purely observational — it only copies the reported values —
+// so an attached server leaves campaign results bit-identical to an
+// unobserved run. When no server is constructed (the -serve flag unset), none
+// of this code runs at all.
 package obs
 
 import (

@@ -4,7 +4,6 @@ import (
 	"morrigan/internal/arch"
 	"morrigan/internal/cache"
 	"morrigan/internal/pagetable"
-	"morrigan/internal/telemetry"
 )
 
 // WalkResult reports the outcome of one page walk.
@@ -58,7 +57,6 @@ type Walker struct {
 	mem      *cache.Hierarchy
 	cfg      Config
 	busy     []arch.Cycle // per-MSHR busy-until timestamps
-	probe    *telemetry.Probe
 
 	demandWalks     uint64
 	demandRefs      uint64
@@ -88,11 +86,6 @@ func New(pt pagetable.Translator, mem *cache.Hierarchy, cfg Config) *Walker {
 // PSC exposes the walker's page-structure cache.
 func (w *Walker) PSC() *PSC { return w.psc }
 
-// SetProbe attaches the telemetry probe; every completed walk feeds its
-// latency histograms and event trace, and dropped prefetch walks are traced.
-// A nil probe (the default) keeps the walk path free of telemetry work.
-func (w *Walker) SetProbe(p *telemetry.Probe) { w.probe = p }
-
 // Walk performs a page walk for vpn at time now. Demand walks map unmapped
 // pages on first touch (demand paging) and queue for walker MSHRs; prefetch
 // walks are non-faulting and are dropped (Present=false, MemRefs=0) when all
@@ -114,9 +107,6 @@ func (w *Walker) Walk(tid arch.ThreadID, vpn arch.VPN, now arch.Cycle, demand bo
 	if w.busy[slot] > now {
 		if !demand {
 			w.droppedWalks++
-			if w.probe != nil {
-				w.probe.WalkDropped(tid, vpn, now)
-			}
 			return WalkResult{}
 		}
 		queued = w.busy[slot] - now
@@ -177,9 +167,6 @@ func (w *Walker) Walk(tid arch.ThreadID, vpn arch.VPN, now arch.Cycle, demand bo
 	} else {
 		w.prefetchWalks++
 		w.prefetchRefs += uint64(res.MemRefs)
-	}
-	if w.probe != nil {
-		w.probe.WalkObserved(tid, vpn, demand, res.Latency, now)
 	}
 	return res
 }

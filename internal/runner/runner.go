@@ -34,7 +34,6 @@ import (
 	"morrigan/internal/sampling"
 	"morrigan/internal/sim"
 	"morrigan/internal/spans"
-	"morrigan/internal/telemetry"
 	"morrigan/internal/trace"
 	"morrigan/internal/workloads"
 )
@@ -177,11 +176,13 @@ type ResultStore interface {
 // data-only identity are delegated; instrumented and NewThreads jobs (whose
 // closures cannot cross a process boundary) always execute locally.
 type RemoteExecutor interface {
-	// ExecuteRemote runs the job elsewhere and returns its result. The
-	// returned error reports delegation failures (coordinator shut down,
-	// context cancelled); a job that executed remotely and failed comes
-	// back as (Result{Err: ...}, nil) just as local execution would.
-	ExecuteRemote(ctx context.Context, job Job, key string) (Result, error)
+	// ExecuteRemote runs the job elsewhere and returns its result. It calls
+	// started, when non-nil, once before returning the result: when a worker
+	// first takes the job, or at once if one already has. The returned error
+	// reports delegation failures (coordinator shut down, context
+	// cancelled); a job that executed remotely and failed comes back as
+	// (Result{Err: ...}, nil) just as local execution would.
+	ExecuteRemote(ctx context.Context, job Job, key string, started func()) (Result, error)
 }
 
 // Options configures a campaign run.
@@ -194,8 +195,8 @@ type Options struct {
 	// Progress, when non-nil, is called after every job completes (from a
 	// single goroutine at a time; it need not be re-entrant).
 	Progress ProgressFunc
-	// Telemetry, when non-nil, attaches a telemetry probe to every full-run
-	// job and writes one JSONL file per job into Telemetry.Dir.
+	// Telemetry, when non-nil, builds a time series of every full-run job's
+	// progress reports and writes one JSONL file per job into Telemetry.Dir.
 	Telemetry *TelemetryOptions
 	// Observer, when non-nil, receives campaign lifecycle callbacks and
 	// every running job's live counters (see Observer).
@@ -260,9 +261,10 @@ func jobTraceID(key string, keyed bool, i int, j Job) string {
 // the job's worker goroutine, concurrently with other jobs' calls, so
 // implementations must be safe for concurrent use; JobProgress runs inside
 // the simulation loop and must be fast. A job delegated to a RemoteExecutor
-// gets JobStarted when it is handed over and JobFinished when its result
-// returns, with no live counters between; jobs served from a reuse layer
-// receive only JobFinished, with Result.Reused set.
+// gets JobStarted when a worker first takes it, not when it is queued (the
+// executor calls it from inside ExecuteRemote), and JobFinished when its
+// result returns, with no live counters between; jobs served from a reuse
+// layer receive only JobFinished, with Result.Reused set.
 type Observer interface {
 	CampaignStarted(total int)
 	JobStarted(index int, job Job)
@@ -444,11 +446,12 @@ func executeShared(ctx context.Context, i int, j Job, opt Options) Result {
 func executePersisted(ctx context.Context, i int, j Job, opt Options, key string, keyed bool, trace string) Result {
 	var res Result
 	if keyed && opt.Remote != nil {
+		var started func()
 		if opt.Observer != nil {
-			opt.Observer.JobStarted(i, j)
+			started = func() { opt.Observer.JobStarted(i, j) }
 		}
 		sp := opt.Spans.Start(trace, "remote")
-		r, err := opt.Remote.ExecuteRemote(ctx, j, key)
+		r, err := opt.Remote.ExecuteRemote(ctx, j, key, started)
 		sp.Attr("ok", fmt.Sprint(err == nil)).End()
 		if err != nil {
 			res = Result{Job: j, Err: fmt.Errorf("runner: %s: %w", j.Name(), err)}
@@ -507,9 +510,9 @@ func buildThreads(j Job, opt Options) ([]sim.ThreadSpec, error) {
 	return threads, nil
 }
 
-// execute runs job i with panic isolation, the per-job timeout, the
-// observer's live counters, and an optional per-job telemetry probe flushed
-// to its own JSONL file.
+// execute runs job i with panic isolation and the per-job timeout. Its
+// progress reports feed the observer's live counters and, for a full run,
+// the optional telemetry series written to the job's own JSONL file.
 func execute(ctx context.Context, i int, j Job, opt Options, trace string) (res Result) {
 	res.Job = j
 	if err := ctx.Err(); err != nil {
@@ -524,7 +527,7 @@ func execute(ctx context.Context, i int, j Job, opt Options, trace string) (res 
 	execSpan := opt.Spans.Start(trace, "execute")
 	start := time.Now()
 	startHeap := heapAlloc()
-	var probe *telemetry.Probe
+	var series *jobSeries
 	var s *sim.Simulator
 	defer func() {
 		res.Elapsed = time.Since(start)
@@ -540,10 +543,10 @@ func execute(ctx context.Context, i int, j Job, opt Options, trace string) (res 
 			res.InstrPerSec = float64(res.SimInstructions) / secs
 		}
 		res.PeakHeapBytes = max(startHeap, heapAlloc())
-		if probe != nil {
-			// Flush whatever was collected — partial telemetry from a
+		if series != nil {
+			// Write whatever was collected — partial telemetry from a
 			// failed or cancelled job is still diagnostic data.
-			path, werr := opt.Telemetry.writeTelemetry(i, j, probe)
+			path, werr := opt.Telemetry.writeTelemetry(i, j, series)
 			if werr != nil && res.Err == nil {
 				res.Err = werr
 			}
@@ -560,14 +563,26 @@ func execute(ctx context.Context, i int, j Job, opt Options, trace string) (res 
 	if j.Instrument != nil {
 		j.Instrument(&cfg)
 	}
+	// Sampled execution gets no telemetry series: the run is a sequence of
+	// short warmup/measure slices, each of which resets the counters, so a
+	// per-job time series is undefined.
+	if opt.Telemetry != nil && j.Sampling == nil {
+		series = &jobSeries{}
+	}
+	if opt.Observer != nil || series != nil {
+		cfg.OnProgress = func(p sim.Progress) {
+			if series != nil {
+				series.observe(p)
+			}
+			if opt.Observer != nil {
+				opt.Observer.JobProgress(i, p)
+			}
+		}
+	}
 	if opt.Observer != nil {
-		cfg.OnProgress = func(p sim.Progress) { opt.Observer.JobProgress(i, p) }
 		opt.Observer.JobStarted(i, j)
 	}
 	if j.Sampling != nil {
-		// Sampled execution gets no telemetry probe: the run is a sequence
-		// of short warmup/measure slices, each of which would finish and
-		// reset a probe, so a per-job time series is undefined.
 		st, outcome, serr := executeSampled(ctx, &s, cfg, j, opt, trace)
 		if serr != nil {
 			res.Err = fmt.Errorf("runner: %s: %w", j.Name(), serr)
@@ -576,10 +591,6 @@ func execute(ctx context.Context, i int, j Job, opt Options, trace string) (res 
 		res.Stats = st
 		res.Sampling = outcome
 		return res
-	}
-	if opt.Telemetry != nil {
-		probe = telemetry.NewProbe(opt.Telemetry.Config)
-		cfg.Probe = probe
 	}
 	threadSpan := opt.Spans.Start(trace, "threads")
 	threads, err := buildThreads(j, opt)

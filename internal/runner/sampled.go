@@ -65,13 +65,5 @@ func executeSampled(ctx context.Context, sp **sim.Simulator, cfg sim.Config, j J
 		return sim.Stats{}, nil, err
 	}
 	*sp = s
-
-	var hook sampling.SpanHook
-	if opt.Spans != nil {
-		hook = func(phase string) func() {
-			a := opt.Spans.Start(traceID, "sample."+phase)
-			return a.End
-		}
-	}
-	return sampling.ExecuteTraced(ctx, s, j.Warmup, plan, pol, hook)
+	return sampling.Execute(ctx, s, j.Warmup, plan, pol, opt.Spans, traceID)
 }

@@ -93,10 +93,13 @@ func TestTraceSpansCoverLifecycle(t *testing.T) {
 	}
 }
 
-// TestTraceSampledJob checks sampled executions carry the sample.* phase spans
-// and the execute span reports the sampled slice count.
+// TestTraceSampledJob checks sampled executions carry all four sample.* phase
+// spans and the execute span reports the sampled slice count.
 func TestTraceSampledJob(t *testing.T) {
 	jobs := testJobs(1)
+	// A warmup longer than the slice warmup leaves a gap to fast-forward
+	// before the first representative.
+	jobs[0].Warmup = 50_000
 	jobs[0].Measure = 200_000
 	jobs[0].Sampling = &sampling.Policy{Interval: 50_000, Clusters: 2, SliceWarmup: 10_000, Seed: 1}
 	rec := spans.NewRecorder("")
@@ -104,7 +107,8 @@ func TestTraceSampledJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var sawExec, sawMeasure bool
+	var sawExec bool
+	phases := map[string]bool{}
 	for _, sp := range rec.Spans() {
 		switch {
 		case sp.Name == "execute":
@@ -113,16 +117,16 @@ func TestTraceSampledJob(t *testing.T) {
 				t.Errorf("execute span sampled_slices = %q, want > 0", sp.Attrs["sampled_slices"])
 			}
 		case strings.HasPrefix(sp.Name, "sample."):
-			if sp.Name == "sample.measure" {
-				sawMeasure = true
-			}
+			phases[sp.Name] = true
 		}
 	}
 	if !sawExec {
 		t.Error("no execute span in sampled run")
 	}
-	if !sawMeasure {
-		t.Errorf("no sample.measure span in sampled run (have %v)", allNames(rec))
+	for _, name := range []string{"sample.fastforward", "sample.settle", "sample.slicewarmup", "sample.measure"} {
+		if !phases[name] {
+			t.Errorf("no %s span in sampled run (have %v)", name, allNames(rec))
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"morrigan/internal/sim"
+	"morrigan/internal/spans"
 )
 
 // Outcome summarises how a sampled run was produced. It travels with the
@@ -31,13 +32,6 @@ type Outcome struct {
 	CI95 CI `json:"ci95"`
 }
 
-// SpanHook observes sampled-execution phases for distributed tracing: it is
-// called at the start of each phase — "fastforward", "settle", "slicewarmup",
-// "measure" — and returns a func ending that phase. A nil hook is ignored, so
-// the untraced path pays one nil check per phase and nothing else; the hook
-// must not perturb execution (asserted by the runner's trace-purity test).
-type SpanHook func(phase string) func()
-
 // Execute runs the sampled-execution mode over a freshly constructed
 // simulator: for each representative in the plan it fast-forwards with
 // functional TLB/page-table warmup, optionally simulates a timed slice
@@ -49,12 +43,10 @@ type SpanHook func(phase string) func()
 // interval indices are relative to the measurement window that follows it.
 // The simulator must be fresh — its trace readers positioned at the stream
 // start — and is consumed by the call.
-func Execute(ctx context.Context, s *sim.Simulator, warmup uint64, plan *Plan, pol Policy) (sim.Stats, *Outcome, error) {
-	return ExecuteTraced(ctx, s, warmup, plan, pol, nil)
-}
-
-// ExecuteTraced is Execute with a per-phase tracing hook; see SpanHook.
-func ExecuteTraced(ctx context.Context, s *sim.Simulator, warmup uint64, plan *Plan, pol Policy, hook SpanHook) (sim.Stats, *Outcome, error) {
+//
+// rec, when non-nil, records one span per phase under traceID:
+// sample.fastforward, sample.settle, sample.slicewarmup and sample.measure.
+func Execute(ctx context.Context, s *sim.Simulator, warmup uint64, plan *Plan, pol Policy, rec *spans.Recorder, traceID string) (sim.Stats, *Outcome, error) {
 	if len(plan.Reps) == 0 {
 		return sim.Stats{}, nil, fmt.Errorf("sampling: plan has no representatives")
 	}
@@ -77,9 +69,9 @@ func ExecuteTraced(ctx context.Context, s *sim.Simulator, warmup uint64, plan *P
 			ffTarget = pos
 		}
 		if ffTarget > pos {
-			end := phase(hook, "fastforward")
+			sp := rec.Start(traceID, "sample.fastforward")
 			err := s.FastForward(ctx, ffTarget-pos)
-			end()
+			sp.End()
 			if err != nil {
 				return sim.Stats{}, nil, err
 			}
@@ -91,23 +83,23 @@ func ExecuteTraced(ctx context.Context, s *sim.Simulator, warmup uint64, plan *P
 		// slice's epoch) and again at the warmup/measure boundary (the slice
 		// warmup's own epoch) by running warmup and measurement as separate
 		// clock epochs.
-		end := phase(hook, "settle")
+		sp := rec.Start(traceID, "sample.settle")
 		s.SettleTiming()
-		end()
+		sp.End()
 		if start > ffTarget {
-			end = phase(hook, "slicewarmup")
+			sp = rec.Start(traceID, "sample.slicewarmup")
 			_, err := s.RunContext(ctx, 0, start-ffTarget)
-			end()
+			sp.End()
 			if err != nil {
 				return sim.Stats{}, nil, err
 			}
-			end = phase(hook, "settle")
+			sp = rec.Start(traceID, "sample.settle")
 			s.SettleTiming()
-			end()
+			sp.End()
 		}
-		end = phase(hook, "measure")
+		sp = rec.Start(traceID, "sample.measure")
 		st, err := s.RunContext(ctx, 0, plan.Interval)
-		end()
+		sp.End()
 		if err != nil {
 			return sim.Stats{}, nil, err
 		}
@@ -130,13 +122,4 @@ func ExecuteTraced(ctx context.Context, s *sim.Simulator, warmup uint64, plan *P
 		CI95:              ci,
 	}
 	return est, out, nil
-}
-
-// phase invokes the hook for one phase, returning the closer; on a nil hook
-// both halves are no-ops.
-func phase(hook SpanHook, name string) func() {
-	if hook == nil {
-		return func() {}
-	}
-	return hook(name)
 }

@@ -32,17 +32,12 @@ type Config struct {
 	OnISTLBMiss func(tid arch.ThreadID, vpn arch.VPN)
 
 	// OnProgress, when set, receives the run's live counters on the
-	// simulation goroutine, every 65,536 instructions and whenever a timed
-	// or functional run returns (see Progress). It observes only, and must
-	// be fast: it runs inside the record loop.
+	// simulation goroutine, every ProgressInterval instructions and whenever
+	// a timed or functional run returns (see Progress). It is the
+	// simulator's one periodic observation hook: the live view and the
+	// telemetry series are both built from it. It observes only, and must be
+	// fast: it runs inside the record loop.
 	OnProgress func(Progress)
-
-	// Probe, when non-nil, attaches the telemetry observability layer:
-	// interval time-series samples, a prefetch-lifecycle/page-walk event
-	// trace and latency histograms (see internal/telemetry). Probes observe
-	// only — a run with a probe produces bit-identical Stats to one without.
-	// A probe belongs to exactly one simulator.
-	Probe *telemetry.Probe
 }
 
 // Progress is a running simulation's live counters, as Config.OnProgress

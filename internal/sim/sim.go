@@ -101,12 +101,6 @@ type Simulator struct {
 	// simulated-instruction figure reflects only timing-simulated work.
 	fastForwarded uint64
 
-	// probe is the optional telemetry collector; nil (the default) keeps
-	// every hook on the hot path a single predictable branch. probeNext is
-	// the retired-instruction count of the next time-series sample.
-	probe     *telemetry.Probe
-	probeNext uint64
-
 	c counters
 }
 
@@ -118,6 +112,7 @@ type counters struct {
 	dstlbAccesses   uint64
 	dstlbMisses     uint64
 	pbHits          uint64
+	pbLateHits      uint64
 	pbLateCycles    arch.Cycle
 
 	demandIWalks    uint64
@@ -129,6 +124,7 @@ type counters struct {
 
 	prefIssued    uint64
 	prefDiscarded uint64
+	prefInstalled uint64
 	prefWalks     uint64
 	prefFreePTEs  uint64
 
@@ -197,12 +193,6 @@ func New(cfg Config, threads []ThreadSpec) (*Simulator, error) {
 		}
 	}
 	s.nextSwitch = cfg.ContextSwitchInterval
-	if cfg.Probe != nil {
-		s.probe = cfg.Probe
-		s.probeNext = s.probe.Interval()
-		s.walker.SetProbe(s.probe)
-		s.pb.SetProbe(s.probe)
-	}
 	if cfg.CorrectingWalks {
 		s.pb.SetEvictionHandler(func(tid arch.ThreadID, vpn arch.VPN) {
 			if s.walker.CorrectAccessed(tid, vpn, s.now()) {
@@ -237,14 +227,14 @@ func (s *Simulator) Run(warmup, measure uint64) (Stats, error) {
 	return s.RunContext(context.Background(), warmup, measure)
 }
 
-// cancelCheckInterval is how many instructions execute between context
-// checks in RunContext (and Config.OnProgress reports) — frequent enough
-// that cancellation and per-job timeouts bite within milliseconds, rare
-// enough to cost nothing.
-const cancelCheckInterval = 1 << 16
+// ProgressInterval is how many instructions execute between context checks
+// in RunContext and Config.OnProgress reports — frequent enough that
+// cancellation and per-job timeouts bite within milliseconds, rare enough to
+// cost nothing. It is the sampling period of the telemetry series.
+const ProgressInterval = 1 << 16
 
 // RunContext is Run with cancellation: ctx is polled every
-// cancelCheckInterval instructions, so campaign-level cancellation and
+// ProgressInterval instructions, so campaign-level cancellation and
 // per-job timeouts take effect mid-simulation instead of only between runs.
 func (s *Simulator) RunContext(ctx context.Context, warmup, measure uint64) (Stats, error) {
 	if warmup > 0 {
@@ -255,11 +245,6 @@ func (s *Simulator) RunContext(ctx context.Context, warmup, measure uint64) (Sta
 	s.resetStats()
 	if err := s.run(ctx, measure); err != nil {
 		return Stats{}, err
-	}
-	if s.probe != nil {
-		// Close the trailing partial interval so the emitted time series
-		// sums exactly to the aggregate snapshot.
-		s.probe.Finish(s.telemetrySample())
 	}
 	return s.Snapshot(), nil
 }
@@ -285,7 +270,7 @@ func (s *Simulator) run(ctx context.Context, n uint64) error {
 // callers when it returns.
 func (s *Simulator) drive(ctx context.Context, n uint64, timed bool) (uint64, error) {
 	done := uint64(0)
-	nextCheck := uint64(cancelCheckInterval)
+	nextCheck := uint64(ProgressInterval)
 	ti := 0
 	for done < n {
 		if done >= nextCheck {
@@ -293,7 +278,7 @@ func (s *Simulator) drive(ctx context.Context, n uint64, timed bool) (uint64, er
 				return done, fmt.Errorf("interrupted: %w", err)
 			}
 			s.reportProgress()
-			nextCheck += cancelCheckInterval
+			nextCheck += ProgressInterval
 		}
 		th := s.threads[ti]
 		if th.done {
@@ -363,10 +348,6 @@ func (s *Simulator) step(tid arch.ThreadID, th *thread, rec *trace.Record) {
 	if rec.Store != 0 {
 		s.data(tid, rec.Store+th.off, true)
 	}
-	if s.probe != nil && s.core.Retired() >= s.probeNext {
-		s.probe.RecordSample(s.telemetrySample())
-		s.probeNext += s.probe.Interval()
-	}
 }
 
 // fetch performs the front-end work for a new instruction line: address
@@ -433,12 +414,9 @@ func (s *Simulator) translateInstr(tid arch.ThreadID, pc arch.VAddr, vpn arch.VP
 			pfn = hit
 			s.c.pbHits++
 			s.c.threadPBHits[tid]++
-			if s.probe != nil {
-				now := s.now()
-				s.probe.PrefetchUsed(tid, vpn, now, ready > now)
-			}
 			if now := s.now(); ready > now {
 				// Late prefetch: wait for the in-flight walk's remainder.
+				s.c.pbLateHits++
 				s.c.pbLateCycles += ready - now
 				s.core.FrontEndStall(cpu.StallIWalk, ready-now)
 			}
@@ -474,22 +452,13 @@ func (s *Simulator) translateInstr(tid arch.ThreadID, pc arch.VAddr, vpn arch.VP
 func (s *Simulator) issuePrefetches(tid arch.ThreadID, at arch.Cycle, reqs []tlbprefetch.Request) {
 	for _, r := range reqs {
 		s.c.prefIssued++
-		if s.probe != nil {
-			s.probe.PrefetchIssued(tid, r.VPN, at)
-		}
 		if s.cfg.PrefetchIntoSTLB {
 			if s.stlb.Contains(tid, r.VPN) {
 				s.c.prefDiscarded++
-				if s.probe != nil {
-					s.probe.PrefetchDiscarded(tid, r.VPN, at)
-				}
 				continue
 			}
 		} else if s.pb.Contains(tid, r.VPN) {
 			s.c.prefDiscarded++
-			if s.probe != nil {
-				s.probe.PrefetchDiscarded(tid, r.VPN, at)
-			}
 			continue
 		}
 		walk := s.walker.Walk(tid, r.VPN, at, false)
@@ -501,14 +470,14 @@ func (s *Simulator) issuePrefetches(tid arch.ThreadID, at arch.Cycle, reqs []tlb
 			continue // non-faulting prefetch to an unmapped page
 		}
 		ready := at + walk.Latency
-		s.installPrefetch(tid, r.VPN, walk.PFN, r.Token, at, ready)
+		s.installPrefetch(tid, r.VPN, walk.PFN, r.Token, ready)
 		if r.Spatial && walk.LeafFetched {
 			// The leaf line just fetched carries up to 7 neighbouring
 			// PTEs; install them for free (steps 14/17 of Figure 12).
 			base := r.VPN.LineGroup()
 			for i, pte := range s.pt.LineGroup(r.VPN) {
 				if v := base + arch.VPN(i); pte.Present && v != r.VPN {
-					s.installPrefetch(tid, v, pte.PFN, r.Token, at, ready)
+					s.installPrefetch(tid, v, pte.PFN, r.Token, ready)
 					s.c.prefFreePTEs++
 				}
 			}
@@ -517,21 +486,17 @@ func (s *Simulator) issuePrefetches(tid arch.ThreadID, at arch.Cycle, reqs []tlb
 }
 
 // installPrefetch places a prefetched translation in the PB, or directly in
-// the STLB under the P2TLB configuration. at is the cycle the producing
-// request was issued; ready is when its page walk completes.
-func (s *Simulator) installPrefetch(tid arch.ThreadID, vpn arch.VPN, pfn arch.PFN, token tlbprefetch.Token, at, ready arch.Cycle) {
+// the STLB under the P2TLB configuration. ready is the cycle its page walk
+// completes.
+func (s *Simulator) installPrefetch(tid arch.ThreadID, vpn arch.VPN, pfn arch.PFN, token tlbprefetch.Token, ready arch.Cycle) {
 	if s.cfg.PrefetchIntoSTLB {
 		s.stlb.Insert(tid, vpn, pfn)
-		if s.probe != nil {
-			s.probe.PrefetchInstalled(tid, vpn, at, ready)
-		}
+		s.c.prefInstalled++
 		return
 	}
 	if !s.pb.Contains(tid, vpn) {
 		s.pb.Insert(tid, vpn, pfn, token, ready)
-		if s.probe != nil {
-			s.probe.PrefetchInstalled(tid, vpn, at, ready)
-		}
+		s.c.prefInstalled++
 	}
 }
 
@@ -581,7 +546,7 @@ func (s *Simulator) prefetchInstrLine(tid arch.ThreadID, th *thread, vline uint6
 		if !walk.Present {
 			return
 		}
-		s.installPrefetch(tid, vpn, walk.PFN, tlbprefetch.TokenICache, s.now(), s.now()+walk.Latency)
+		s.installPrefetch(tid, vpn, walk.PFN, tlbprefetch.TokenICache, s.now()+walk.Latency)
 		pfn = walk.PFN
 		extra = walk.Latency
 	}
@@ -691,19 +656,14 @@ func (s *Simulator) resetStats() {
 	s.c = counters{}
 	// The context-switch clock restarts with the measurement interval.
 	s.sinceReset, s.nextSwitch = 0, s.cfg.ContextSwitchInterval
-	if s.probe != nil {
-		s.probe.Reset()
-		s.probeNext = s.probe.Interval()
-	}
 	if r, ok := s.pf.(interface{ ResetStats() }); ok {
 		r.ResetStats() // Morrigan's IRIP/SDP hit attribution
 	}
 }
 
-// telemetrySample snapshots the cumulative counters the telemetry probe
-// differences into interval samples and Config.OnProgress receives. It reads
-// the same sources as Snapshot, so the probe's per-interval deltas sum
-// exactly to the aggregate Stats.
+// telemetrySample snapshots the counters Config.OnProgress receives. It reads
+// the same sources as Snapshot, so a telemetry series built from the reports
+// sums exactly to the aggregate Stats.
 func (s *Simulator) telemetrySample() telemetry.Sample {
 	return telemetry.Sample{
 		Instructions:  s.core.Retired(),
@@ -715,8 +675,11 @@ func (s *Simulator) telemetrySample() telemetry.Sample {
 		DSTLBAccesses: s.c.dstlbAccesses,
 		DSTLBMisses:   s.c.dstlbMisses,
 		PBHits:        s.c.pbHits,
+		PBLateHits:    s.c.pbLateHits,
 		PrefIssued:    s.c.prefIssued,
 		PrefDiscarded: s.c.prefDiscarded,
+		PrefInstalled: s.c.prefInstalled,
+		PBEvictions:   s.pb.Evictions(),
 		PrefWalks:     s.walker.PrefetchWalks(),
 		DemandIWalks:  s.c.demandIWalks,
 		DemandDWalks:  s.c.demandDWalks,

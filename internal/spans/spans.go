@@ -5,10 +5,12 @@
 // derived from the job's canonical key, so one campaign's work across many
 // machines assembles into a single timeline.
 //
-// The design constraints mirror the other observer layers (telemetry, obs):
-// recording must be provably inert. A nil *Recorder is fully usable — every
-// method is a no-op — so call sites pay exactly one nil check when tracing is
-// disabled, and results are bit-identical either way (asserted by tests).
+// Spans are one of the two instrumentation paths; the other is the
+// simulator's progress reports (sim.Config.OnProgress), which feed the live
+// view (internal/obs) and the telemetry files (internal/telemetry). Both must
+// be provably inert. A nil *Recorder is fully usable — every method is a
+// no-op — so call sites pay exactly one nil check when tracing is disabled,
+// and results are bit-identical either way (asserted by tests).
 //
 // Clocks: spans carry nanoseconds since the recorder's epoch, measured on Go's
 // monotonic clock (time.Since of an epoch time.Time), never wall time. Spans

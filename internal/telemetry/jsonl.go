@@ -9,26 +9,25 @@ import (
 
 // SchemaVersion identifies the telemetry JSONL schema. Every emitted file
 // starts with a header line carrying it; it is bumped on incompatible shape
-// changes so trajectory-tracking consumers can detect mismatches.
-const SchemaVersion = 1
+// changes so trajectory-tracking consumers can detect mismatches. Schema 1
+// files also carried an event trace and histograms.
+const SchemaVersion = 2
 
-// Line kinds in emitted JSONL, in file order: one header, then samples,
-// events, histograms, and one summary.
+// Line kinds in emitted JSONL, in file order: one header, then samples, and
+// one summary.
 const (
 	KindHeader  = "header"
 	KindSample  = "sample"
-	KindEvent   = "event"
-	KindHist    = "hist"
 	KindSummary = "summary"
 )
 
 // headerLine is the first line of every telemetry file.
 type headerLine struct {
-	Kind     string `json:"kind"`
-	Schema   int    `json:"schema"`
+	Kind   string `json:"kind"`
+	Schema int    `json:"schema"`
+	// Interval is the sampling period in instructions; the last sample of a
+	// run may be shorter.
 	Interval uint64 `json:"interval"`
-	// EventCapacity is the event-ring size; -1 when event tracing is off.
-	EventCapacity int `json:"event_capacity"`
 }
 
 // sampleLine wraps an IntervalSample with its kind tag.
@@ -37,89 +36,26 @@ type sampleLine struct {
 	IntervalSample
 }
 
-// eventLine is one trace event in JSONL form.
-type eventLine struct {
-	Kind  string `json:"kind"`
-	Cycle uint64 `json:"cycle"`
-	Type  string `json:"type"`
-	TID   uint8  `json:"tid"`
-	VPN   uint64 `json:"vpn"`
-	Lat   uint64 `json:"lat,omitempty"`
-}
-
-// histLine is one histogram in JSONL form. Buckets are log2: bucket 0 holds
-// the value 0, bucket i holds [2^(i-1), 2^i).
-type histLine struct {
-	Kind    string   `json:"kind"`
-	Name    string   `json:"name"`
-	Total   uint64   `json:"total"`
-	Mean    float64  `json:"mean"`
-	Max     uint64   `json:"max"`
-	P50     uint64   `json:"p50"`
-	P99     uint64   `json:"p99"`
-	Buckets []uint64 `json:"buckets"`
-}
-
-// summaryLine closes the file with collection totals.
+// summaryLine closes the file.
 type summaryLine struct {
 	Kind    string `json:"kind"`
 	Samples int    `json:"samples"`
-	Events  int    `json:"events"`
-	// EventsOverwritten counts events lost to ring wraparound (the trace is
-	// the trailing window when non-zero).
-	EventsOverwritten uint64 `json:"events_overwritten"`
-	// UntrackedPrefetches counts prefetches whose issue time was not
-	// recorded because the in-flight map was at capacity; their use
-	// distances are missing from the prefetch_to_use_distance histogram.
-	UntrackedPrefetches uint64 `json:"untracked_prefetches,omitempty"`
 }
 
-// WriteJSONL emits everything the probe collected as JSON Lines: a header,
-// the interval samples, the traced events (oldest first), the histograms,
-// and a summary.
-func (p *Probe) WriteJSONL(w io.Writer) error {
+// WriteJSONL emits the series as JSON Lines: a header recording interval, the
+// sampling period in instructions, then the interval samples and a summary.
+func (s *Series) WriteJSONL(w io.Writer, interval uint64) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw) // Encode appends the newline JSONL needs
-
-	evCap := -1
-	if p.ring != nil {
-		evCap = cap(p.ring.buf)
-	}
-	if err := enc.Encode(headerLine{
-		Kind: KindHeader, Schema: SchemaVersion,
-		Interval: p.interval, EventCapacity: evCap,
-	}); err != nil {
+	if err := enc.Encode(headerLine{Kind: KindHeader, Schema: SchemaVersion, Interval: interval}); err != nil {
 		return err
 	}
-	for i := range p.samples {
-		if err := enc.Encode(sampleLine{Kind: KindSample, IntervalSample: p.samples[i]}); err != nil {
+	for i := range s.samples {
+		if err := enc.Encode(sampleLine{Kind: KindSample, IntervalSample: s.samples[i]}); err != nil {
 			return err
 		}
 	}
-	events, overwritten := p.Events()
-	for _, e := range events {
-		if err := enc.Encode(eventLine{
-			Kind: KindEvent, Cycle: uint64(e.Cycle), Type: e.Kind.String(),
-			TID: uint8(e.TID), VPN: uint64(e.VPN), Lat: uint64(e.Lat),
-		}); err != nil {
-			return err
-		}
-	}
-	for _, h := range p.Histograms() {
-		if err := enc.Encode(histLine{
-			Kind: KindHist, Name: h.Name(),
-			Total: h.Total(), Mean: h.Mean(), Max: h.Max(),
-			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
-			Buckets: h.Buckets(),
-		}); err != nil {
-			return err
-		}
-	}
-	if err := enc.Encode(summaryLine{
-		Kind: KindSummary, Samples: len(p.samples),
-		Events: len(events), EventsOverwritten: overwritten,
-		UntrackedPrefetches: p.untracked,
-	}); err != nil {
+	if err := enc.Encode(summaryLine{Kind: KindSummary, Samples: len(s.samples)}); err != nil {
 		return err
 	}
 	return bw.Flush()

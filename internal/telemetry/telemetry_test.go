@@ -4,15 +4,13 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"morrigan/internal/arch"
 )
 
 func TestIntervalSampleDeltas(t *testing.T) {
-	p := NewProbe(Config{Interval: 1000})
-	p.RecordSample(Sample{Instructions: 1000, Cycles: 2000, ISTLBMisses: 10, PBHits: 4})
-	p.RecordSample(Sample{Instructions: 2000, Cycles: 5000, ISTLBMisses: 30, PBHits: 10})
-	ss := p.Samples()
+	var s Series
+	s.Add(Sample{Instructions: 1000, Cycles: 2000, ISTLBMisses: 10, PBHits: 4})
+	s.Add(Sample{Instructions: 2000, Cycles: 5000, ISTLBMisses: 30, PBHits: 10})
+	ss := s.Samples()
 	if len(ss) != 2 {
 		t.Fatalf("samples = %d, want 2", len(ss))
 	}
@@ -35,131 +33,55 @@ func TestIntervalSampleDeltas(t *testing.T) {
 }
 
 func TestEmptyIntervalSkipped(t *testing.T) {
-	p := NewProbe(Config{})
-	p.RecordSample(Sample{Instructions: 500})
-	p.RecordSample(Sample{Instructions: 500}) // no progress: skipped
-	p.Finish(Sample{Instructions: 500})       // idempotent at the end too
-	if n := len(p.Samples()); n != 1 {
+	var s Series
+	s.Add(Sample{Instructions: 500})
+	s.Add(Sample{Instructions: 500}) // no progress: skipped
+	s.Add(Sample{Instructions: 500}) // a run's end report repeating the last context check
+	if n := len(s.Samples()); n != 1 {
 		t.Fatalf("samples = %d, want 1", n)
 	}
 }
 
+// TestPrefetchLifecycleCounters: the series differences the three
+// lifecycle counters into their own fields, and a prefetch is used exactly
+// when it is a PB hit.
 func TestPrefetchLifecycleCounters(t *testing.T) {
-	p := NewProbe(Config{Interval: 100})
-	p.PrefetchInstalled(0, 10, 50, 90)
-	p.PrefetchInstalled(0, 11, 60, 95)
-	p.PrefetchInstalled(1, 10, 60, 95)
-	p.PrefetchUsed(0, 10, 80, false)
-	p.PrefetchUsed(0, 11, 70, true)
-	p.PrefetchEvicted(1, 10, 95)
-	p.RecordSample(Sample{Instructions: 100})
-	s := p.Samples()[0]
-	if s.DPrefInstalled != 3 || s.DPrefUsed != 2 || s.DPrefLate != 1 || s.DPrefEvicted != 1 {
-		t.Fatalf("lifecycle deltas: %+v", s)
+	var s Series
+	s.Add(Sample{Instructions: 100, PBHits: 2, PBLateHits: 1, PrefInstalled: 3, PBEvictions: 1})
+	s.Add(Sample{Instructions: 200, PBHits: 7, PBLateHits: 1, PrefInstalled: 9, PBEvictions: 4})
+	d := s.Samples()[1]
+	if d.DPrefInstalled != 6 || d.DPrefUsed != 5 || d.DPrefLate != 0 || d.DPrefEvicted != 3 {
+		t.Fatalf("lifecycle deltas: %+v", d)
 	}
-	// Use distances: 80-50=30 and 70-60=10 observed.
-	h := p.Histograms()[2]
-	if h.Name() != "prefetch_to_use_distance" || h.Total() != 2 || h.Max() != 30 {
-		t.Fatalf("distance histogram: total=%d max=%d", h.Total(), h.Max())
-	}
-	if len(p.pending) != 0 {
-		t.Fatalf("pending map not drained: %d", len(p.pending))
+	if d.DPrefUsed != d.DPBHits {
+		t.Fatalf("d_prefetch_used %d != d_pb_hits %d", d.DPrefUsed, d.DPBHits)
 	}
 }
 
-func TestEventRingOverwrite(t *testing.T) {
-	p := NewProbe(Config{EventBuffer: 4})
-	for i := 0; i < 10; i++ {
-		p.PrefetchIssued(0, 100, 0)
-	}
-	events, overwritten := p.Events()
-	if len(events) != 4 || overwritten != 6 {
-		t.Fatalf("events=%d overwritten=%d", len(events), overwritten)
-	}
-	// Ordering: oldest first after wraparound.
-	p3 := NewProbe(Config{EventBuffer: 3})
-	for c := 1; c <= 5; c++ {
-		p3.WalkDropped(0, 0, arch.Cycle(c))
-	}
-	ev, _ := p3.Events()
-	if ev[0].Cycle != 3 || ev[2].Cycle != 5 {
-		t.Fatalf("ring order: %+v", ev)
-	}
-}
-
-func TestEventTracingDisabled(t *testing.T) {
-	// Any negative ring capacity disables the event trace.
-	for _, capacity := range []int{-1, -DefaultEventBuffer} {
-		p := NewProbe(Config{EventBuffer: capacity})
-		p.PrefetchIssued(0, 1, 2)
-		if ev, _ := p.Events(); ev != nil {
-			t.Fatalf("EventBuffer %d: events recorded while disabled: %v", capacity, ev)
-		}
-	}
-}
-
-func TestLogHistogramBuckets(t *testing.T) {
-	h := NewLogHistogram("x")
-	for _, v := range []uint64{0, 1, 2, 3, 4, 7, 8, 1000} {
-		h.Observe(v)
-	}
-	b := h.Buckets()
-	// 0→bucket0; 1→b1; 2,3→b2; 4,7→b3; 8→b4; 1000→b10.
-	want := []uint64{1, 1, 2, 2, 1, 0, 0, 0, 0, 0, 1}
-	if len(b) != len(want) {
-		t.Fatalf("buckets = %v", b)
-	}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("bucket %d = %d, want %d (%v)", i, b[i], want[i], b)
-		}
-	}
-	if h.Total() != 8 || h.Max() != 1000 {
-		t.Fatalf("total=%d max=%d", h.Total(), h.Max())
-	}
-	if got, want := h.Mean(), float64(0+1+2+3+4+7+8+1000)/8; got != want {
-		t.Fatalf("mean = %v, want %v", got, want)
-	}
-	if q := h.Quantile(0.5); q != 3 { // 4th of 8 obs is the value 3, bucket 2
-		t.Fatalf("p50 = %d", q)
-	}
-	if q := h.Quantile(1); q != BucketUpper(10) {
-		t.Fatalf("p100 = %d", q)
-	}
-}
-
+// TestResetClearsEverything: after Reset the series holds no samples and
+// differences the next report from zero, as counters restart at a stats
+// reset.
 func TestResetClearsEverything(t *testing.T) {
-	p := NewProbe(Config{Interval: 10, EventBuffer: 8})
-	p.PrefetchInstalled(0, 1, 2, 3)
-	p.WalkObserved(0, 1, true, 70, 100)
-	p.RecordSample(Sample{Instructions: 10})
-	p.Reset()
-	if len(p.Samples()) != 0 {
+	var s Series
+	s.Add(Sample{Instructions: 10_000, Cycles: 30_000, ISTLBMisses: 50})
+	s.Reset()
+	if len(s.Samples()) != 0 {
 		t.Fatal("samples survived reset")
 	}
-	if ev, over := p.Events(); len(ev) != 0 || over != 0 {
-		t.Fatal("events survived reset")
-	}
-	for _, h := range p.Histograms() {
-		if h.Total() != 0 {
-			t.Fatalf("%s survived reset", h.Name())
-		}
-	}
-	if len(p.pending) != 0 {
-		t.Fatal("pending survived reset")
+	s.Add(Sample{Instructions: 4_000, Cycles: 5_000, ISTLBMisses: 7})
+	ss := s.Samples()
+	if len(ss) != 1 || ss[0].Seq != 0 || ss[0].DInstructions != 4_000 || ss[0].DCycles != 5_000 || ss[0].DISTLBMisses != 7 {
+		t.Fatalf("first sample after reset: %+v", ss)
 	}
 }
 
 func TestWriteAndParseJSONL(t *testing.T) {
-	p := NewProbe(Config{Interval: 100, EventBuffer: 16})
-	p.WalkObserved(0, 5, true, 70, 50)
-	p.PrefetchInstalled(0, 6, 60, 100)
-	p.PrefetchUsed(0, 6, 120, false)
-	p.RecordSample(Sample{Instructions: 100, Cycles: 150, ISTLBMisses: 2, PBHits: 1})
-	p.Finish(Sample{Instructions: 130, Cycles: 200, ISTLBMisses: 3, PBHits: 2})
+	var s Series
+	s.Add(Sample{Instructions: 100, Cycles: 150, ISTLBMisses: 2, PBHits: 1})
+	s.Add(Sample{Instructions: 130, Cycles: 200, ISTLBMisses: 3, PBHits: 2})
 
 	var buf bytes.Buffer
-	if err := p.WriteJSONL(&buf); err != nil {
+	if err := s.WriteJSONL(&buf, 100); err != nil {
 		t.Fatal(err)
 	}
 	lines, err := ParseJSONL(bytes.NewReader(buf.Bytes()))
@@ -170,17 +92,17 @@ func TestWriteAndParseJSONL(t *testing.T) {
 	for _, l := range lines {
 		counts[l["kind"].(string)]++
 	}
-	if counts[KindHeader] != 1 || counts[KindSummary] != 1 {
+	if len(counts) != 3 || counts[KindHeader] != 1 || counts[KindSummary] != 1 {
 		t.Fatalf("line kinds: %v", counts)
 	}
 	if counts[KindSample] != 2 {
 		t.Fatalf("samples = %d, want 2", counts[KindSample])
 	}
-	if counts[KindEvent] != 3 {
-		t.Fatalf("events = %d, want 3", counts[KindEvent])
+	if h := lines[0]; h["schema"] != float64(SchemaVersion) || h["interval"] != float64(100) {
+		t.Fatalf("header %v", h)
 	}
-	if counts[KindHist] != 3 {
-		t.Fatalf("hists = %d, want 3", counts[KindHist])
+	if sum := lines[len(lines)-1]; sum["samples"] != float64(2) {
+		t.Fatalf("summary %v", sum)
 	}
 }
 
@@ -190,25 +112,13 @@ func TestParseJSONLRejectsBadInput(t *testing.T) {
 		"not json":   "hello\n",
 		"no header":  `{"kind":"sample","seq":0}` + "\n" + `{"kind":"summary"}` + "\n",
 		"bad schema": `{"kind":"header","schema":99}` + "\n" + `{"kind":"summary"}` + "\n",
-		"truncated":  `{"kind":"header","schema":1}` + "\n" + `{"kind":"sample","seq":0}` + "\n",
-		"no kind":    `{"kind":"header","schema":1}` + "\n" + `{"x":1}` + "\n",
+		"schema 1":   `{"kind":"header","schema":1}` + "\n" + `{"kind":"summary"}` + "\n",
+		"truncated":  `{"kind":"header","schema":2}` + "\n" + `{"kind":"sample","seq":0}` + "\n",
+		"no kind":    `{"kind":"header","schema":2}` + "\n" + `{"x":1}` + "\n",
 	}
 	for name, in := range cases {
 		if _, err := ParseJSONL(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-func TestPendingMapBounded(t *testing.T) {
-	p := NewProbe(DefaultConfig())
-	for i := 0; i < maxPending+100; i++ {
-		p.PrefetchInstalled(0, arch.VPN(i+1), 0, 0)
-	}
-	if len(p.pending) != maxPending {
-		t.Fatalf("pending = %d, want %d", len(p.pending), maxPending)
-	}
-	if p.untracked != 100 {
-		t.Fatalf("untracked = %d, want 100", p.untracked)
 	}
 }

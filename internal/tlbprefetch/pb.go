@@ -1,9 +1,6 @@
 package tlbprefetch
 
-import (
-	"morrigan/internal/arch"
-	"morrigan/internal/telemetry"
-)
+import "morrigan/internal/arch"
 
 // PrefetchBuffer is the fully associative buffer that holds prefetched
 // translations (Table 1: 64-entry, fully associative, 2-cycle). On a hit the
@@ -34,11 +31,6 @@ type PrefetchBuffer struct {
 	// onEvict, when set, observes entries displaced without having served
 	// a miss (the trigger for the paper's correcting page walks).
 	onEvict func(tid arch.ThreadID, vpn arch.VPN)
-
-	// probe, when set, traces useless evictions (prefetch-lifecycle
-	// telemetry); independent of onEvict so correcting walks and telemetry
-	// compose.
-	probe *telemetry.Probe
 }
 
 // pbKey packs a (thread, page) pair into one comparable word with the low
@@ -140,9 +132,6 @@ func (b *PrefetchBuffer) Insert(tid arch.ThreadID, vpn arch.VPN, pfn arch.PFN, t
 		}
 	}
 	b.useless++
-	if b.probe != nil {
-		b.probe.PrefetchEvicted(pbKeyTID(b.keys[victim]), pbKeyVPN(b.keys[victim]), b.readys[victim])
-	}
 	if b.onEvict != nil {
 		b.onEvict(pbKeyTID(b.keys[victim]), pbKeyVPN(b.keys[victim]))
 	}
@@ -163,10 +152,6 @@ func (b *PrefetchBuffer) set(i int, key uint64, pfn arch.PFN, token Token, ready
 func (b *PrefetchBuffer) SetEvictionHandler(fn func(tid arch.ThreadID, vpn arch.VPN)) {
 	b.onEvict = fn
 }
-
-// SetProbe attaches the telemetry probe; useless evictions are traced as
-// prefetch-lifecycle events. A nil probe (the default) costs nothing.
-func (b *PrefetchBuffer) SetProbe(p *telemetry.Probe) { b.probe = p }
 
 // Flush drops all entries (context switch).
 func (b *PrefetchBuffer) Flush() {
