@@ -43,6 +43,22 @@ func TestOpenRejectsResumeWithoutJournal(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsCorpusCacheOutOfRange: a negative budget, or one whose
+// byte count overflows int64, is an error rather than the default budget.
+func TestOpenRejectsCorpusCacheOutOfRange(t *testing.T) {
+	for _, mb := range []string{"-1", "8796093022208"} { // 2^43 MiB = 2^63 bytes
+		_, err := Open("test", parse(t, "-corpus-cache-mb", mb), 0, 10_000)
+		if err == nil || !strings.Contains(err.Error(), "-corpus-cache-mb") {
+			t.Errorf("-corpus-cache-mb %s: Open error = %v, want -corpus-cache-mb out of range", mb, err)
+		}
+	}
+	if c, err := Open("test", parse(t, "-corpus-cache-mb", "8796093022207"), 0, 10_000); err != nil {
+		t.Errorf("-corpus-cache-mb 8796093022207 (the largest whose bytes fit int64): %v", err)
+	} else {
+		c.Close()
+	}
+}
+
 func TestOpenRejectsIndivisibleSampleInterval(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "run.journal")

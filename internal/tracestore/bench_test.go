@@ -15,17 +15,12 @@ const benchRecords = 1 << 19
 // benchCorpus materialises the benchmark workload once per process, wired
 // to a shared chunk cache the way a Store wires every corpus it opens. The
 // first iteration decodes; steady state streams cache-resident chunks,
-// which is the regime campaign jobs run in.
+// which is the regime campaign jobs run in when the budget holds their
+// workloads.
 func benchCorpus(b *testing.B) *Corpus {
 	b.Helper()
 	if benchCorpusCached == nil {
-		c, err := OpenBytes(buildContainer(b, benchGenRecords(b), DefaultChunkRecords>>2))
-		if err != nil {
-			b.Fatalf("OpenBytes: %v", err)
-		}
-		c.id = 1
-		c.cache = NewCache(DefaultCacheBytes)
-		benchCorpusCached = c
+		benchCorpusCached, _ = cachedCorpus(b, benchGenRecords(b), DefaultChunkRecords>>2, DefaultCacheBytes)
 	}
 	return benchCorpusCached
 }
@@ -68,6 +63,7 @@ func BenchmarkCorpusNextBatch(b *testing.B) {
 	c := benchCorpus(b)
 	buf := make([]trace.Record, 512)
 	b.SetBytes(benchRecords * recordMemBytes)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := c.NewReader()
@@ -80,6 +76,38 @@ func BenchmarkCorpusNextBatch(b *testing.B) {
 		}
 		r.Close()
 	}
+}
+
+// BenchmarkCorpusNextBatchEvicting streams the corpus with two readers in
+// lockstep, as two jobs on one workload read it, through a cache that holds
+// half of it. Every chunk is decoded once per pass and shared, at a hit
+// rate of 0.5: the regime sampled-long's budget puts its jobs in, which
+// BenchmarkCorpusNextBatch's cache-resident stream never shows.
+func BenchmarkCorpusNextBatchEvicting(b *testing.B) {
+	c, cache := cachedCorpus(b, benchGenRecords(b), DefaultChunkRecords>>2, benchRecords*recordMemBytes/2)
+	bufs := [2][]trace.Record{make([]trace.Record, 512), make([]trace.Record, 512)}
+	b.SetBytes(2 * benchRecords * recordMemBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs := [2]*Reader{c.NewReader(), c.NewReader()}
+		for live := len(rs); live > 0; {
+			live = 0
+			for k, r := range rs {
+				if _, err := r.NextBatch(bufs[k]); err == nil {
+					live++
+				} else if err != io.EOF {
+					b.Fatal(err)
+				}
+			}
+		}
+		rs[0].Close()
+		rs[1].Close()
+	}
+	b.StopTimer()
+	st := cache.Stats()
+	b.ReportMetric(float64(st.Decodes)/float64(b.N), "decodes/op")
+	b.ReportMetric(float64(st.Hits)/float64(st.Gets), "hit-rate")
 }
 
 // reportPerRecord reports the benchmark's time per record of one chunk and
@@ -95,6 +123,7 @@ var benchFrameSink []byte
 // frame, the work Build's encoder does per chunk.
 func BenchmarkEncodeChunk(b *testing.B) {
 	recs := benchGenRecords(b)[:DefaultChunkRecords]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchFrameSink, _ = encodeChunk(recs)
@@ -104,17 +133,21 @@ func BenchmarkEncodeChunk(b *testing.B) {
 }
 
 // BenchmarkDecodeChunk fetches, checksums and decodes one default-size
-// chunk: what a reader pays for a chunk the shared cache does not hold, and
-// what BenchmarkCorpusNextBatch's cache-resident stream never shows.
+// chunk into reused buffers: what a reader pays for a chunk the shared
+// cache does not hold once the cache is full, and what
+// BenchmarkCorpusNextBatch's cache-resident stream never shows.
 func BenchmarkDecodeChunk(b *testing.B) {
 	recs := benchGenRecords(b)[:DefaultChunkRecords]
 	c, err := OpenBytes(buildContainer(b, recs, len(recs)))
 	if err != nil {
 		b.Fatalf("OpenBytes: %v", err)
 	}
+	var frame []byte
+	var dst []trace.Record
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.decode(0); err != nil {
+		if frame, dst, err = c.decode(0, frame, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

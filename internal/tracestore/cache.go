@@ -17,15 +17,22 @@ const DefaultCacheBytes int64 = 512 << 20
 // acquire the same entry, so each chunk is decoded once per residency:
 // the first acquirer decodes while later acquirers wait on the in-flight
 // decode (single-flight), and an acquired chunk is pinned — never evicted —
-// until every holder releases it. Only unpinned chunks count against the
-// byte budget's eviction scan, so the budget bounds resident-but-idle bytes
-// while letting however many chunks are actively being simulated stay alive.
+// until every holder releases it. The budget counts every entry's buffer,
+// pinned and in-flight included, and eviction takes unpinned entries only,
+// so pinned chunks can hold the cache above its budget until released.
+//
+// A miss in a full cache evicts before it decodes and decodes into the
+// victim's record buffer, and frames are read into buffers the cache keeps,
+// so once the cache has filled, streaming allocates nothing chunk-sized:
+// the heap holds the budget's worth of records rather than that plus the
+// garbage of every eviction.
 type Cache struct {
 	mu       sync.Mutex
 	budget   int64
-	resident int64 // decoded bytes of all entries, pinned included
+	resident int64 // buffer bytes of all entries, pinned and in-flight included
 	entries  map[cacheKey]*centry
 	lru      *list.List // unpinned entries only; front = most recent
+	frames   [][]byte   // idle frame buffers, one per decode that has run concurrently
 	stats    CacheStats
 }
 
@@ -37,7 +44,7 @@ type cacheKey struct {
 type centry struct {
 	key   cacheKey
 	recs  []trace.Record
-	size  int64
+	size  int64 // bytes counted in resident: the record buffer's capacity
 	refs  int
 	elem  *list.Element // non-nil iff refs == 0 (entry is evictable)
 	ready chan struct{} // closed when the decode finishes
@@ -55,7 +62,8 @@ type CacheStats struct {
 	Decodes uint64
 	// Evictions counts entries dropped to stay inside the byte budget.
 	Evictions uint64
-	// ResidentBytes is the decoded bytes currently held, pinned included.
+	// ResidentBytes is the decoded bytes currently held, pinned and
+	// in-flight included.
 	ResidentBytes int64
 }
 
@@ -81,9 +89,13 @@ func (c *Cache) Stats() CacheStats {
 	return s
 }
 
+// bufBytes is the memory a record buffer holds.
+func bufBytes(recs []trace.Record) int64 { return int64(cap(recs)) * recordMemBytes }
+
 // acquire returns chunk i of co, decoding it if no resident or in-flight
 // copy exists, and pins it until the returned release function is called.
-// release is idempotent.
+// The records are valid until release: an entry's buffer is reused for
+// another chunk once it is unpinned and evicted. release is idempotent.
 func (c *Cache) acquire(co *Corpus, i int) ([]trace.Record, func(), error) {
 	key := cacheKey{corpus: co.id, chunk: i}
 	c.mu.Lock()
@@ -108,25 +120,57 @@ func (c *Cache) acquire(co *Corpus, i int) ([]trace.Record, func(), error) {
 	c.entries[key] = e
 	c.stats.Misses++
 	c.stats.Decodes++
+	buf := c.reserveLocked(e, co.chunks[i].records)
+	var frame []byte
+	if n := len(c.frames); n > 0 {
+		frame, c.frames = c.frames[n-1], c.frames[:n-1]
+	}
 	c.mu.Unlock()
 
-	recs, err := co.decode(i)
+	frame, recs, err := co.decode(i, frame, buf)
 
 	c.mu.Lock()
+	c.frames = append(c.frames, frame)
 	if err != nil {
 		e.err = err
 		delete(c.entries, key)
+		c.resident -= e.size
 		c.mu.Unlock()
 		close(e.ready)
 		return nil, nil, err
 	}
 	e.recs = recs
-	e.size = int64(len(recs)) * recordMemBytes
-	c.resident += e.size
+	// A fresh buffer can outgrow its reservation (see decodeCap).
+	c.resident += bufBytes(recs) - e.size
+	e.size = bufBytes(recs)
 	c.evictLocked()
 	c.mu.Unlock()
 	close(e.ready)
 	return recs, c.releaseFunc(e), nil
+}
+
+// reserveLocked counts a missed chunk of the given record count against the
+// budget before it is decoded, so concurrent misses each make room for
+// their own chunk, and returns the buffer to decode it into. When the chunk
+// does not fit, least-recently-used unpinned entries are evicted until it
+// does, and the first victim whose buffer can hold the chunk gives it up.
+// The result is nil (decode allocates) only while the cache has room or
+// every entry is pinned.
+func (c *Cache) reserveLocked(e *centry, records uint64) []trace.Record {
+	size := int64(records) * recordMemBytes
+	var buf []trace.Record
+	for c.resident+size > c.budget {
+		victim, ok := c.evictOneLocked()
+		if !ok {
+			break
+		}
+		if buf == nil && uint64(cap(victim)) >= records {
+			buf, size = victim, bufBytes(victim)
+		}
+	}
+	e.size = size
+	c.resident += size
+	return buf
 }
 
 // releaseFunc builds the idempotent unpin closure for e.
@@ -149,18 +193,31 @@ func (c *Cache) releaseFunc(e *centry) func() {
 }
 
 // evictLocked drops least-recently-used unpinned entries until the resident
-// bytes fit the budget (or nothing unpinned remains).
+// bytes fit the budget (or nothing unpinned remains). Their buffers become
+// garbage: kept, they would hold the cache above its budget.
 func (c *Cache) evictLocked() {
 	for c.resident > c.budget {
-		back := c.lru.Back()
-		if back == nil {
+		if _, ok := c.evictOneLocked(); !ok {
 			return
 		}
-		e := back.Value.(*centry)
-		c.lru.Remove(back)
-		e.elem = nil
-		delete(c.entries, e.key)
-		c.resident -= e.size
-		c.stats.Evictions++
 	}
+}
+
+// evictOneLocked removes the least-recently-used unpinned entry and returns
+// its record buffer, emptied; ok is false when every entry is pinned. The
+// entry is out of the map and its holders have all released it, so no
+// reader can see the buffer rewritten.
+func (c *Cache) evictOneLocked() (recs []trace.Record, ok bool) {
+	back := c.lru.Back()
+	if back == nil {
+		return nil, false
+	}
+	e := back.Value.(*centry)
+	c.lru.Remove(back)
+	e.elem = nil
+	delete(c.entries, e.key)
+	c.resident -= e.size
+	c.stats.Evictions++
+	recs, e.recs = e.recs[:0], nil
+	return recs, true
 }

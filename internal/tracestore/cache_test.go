@@ -2,6 +2,8 @@ package tracestore
 
 import (
 	"errors"
+	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -216,5 +218,62 @@ func TestCacheDecodeError(t *testing.T) {
 	}
 	if got := cache.Stats().Decodes; got != before+1 {
 		t.Fatalf("retry did not re-attempt the decode (Decodes %d -> %d)", before, got)
+	}
+}
+
+// TestFullCacheDecodeAllocations streams a store's corpus of default-size
+// chunks, four times the cache budget, twice through one reader. The first
+// pass fills the cache; in the second every chunk misses, and each decode
+// must reuse an evicted entry's record buffer and a kept frame buffer: the
+// bytes allocated per decode stay under 1/64 of a decoded chunk, where a
+// fresh buffer per decode costs the whole chunk plus its frame.
+func TestFullCacheDecodeAllocations(t *testing.T) {
+	const chunks = 32
+	budget := 8 * chunkBytes(DefaultChunkRecords)
+	s, err := Open(Options{Dir: t.TempDir(), CacheBytes: budget})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	c, err := s.Materialize(testSpec(707), chunks*DefaultChunkRecords)
+	if err != nil {
+		t.Fatalf("Materialize: %v", err)
+	}
+	if c.Chunks() != chunks || c.ChunkRecords() != DefaultChunkRecords {
+		t.Fatalf("corpus has %d chunks of %d records, want %d of %d", c.Chunks(), c.ChunkRecords(), chunks, DefaultChunkRecords)
+	}
+	buf := make([]trace.Record, 512)
+	stream := func() {
+		r := c.NewReader()
+		defer r.Close()
+		for {
+			if _, err := r.NextBatch(buf); err == io.EOF {
+				return
+			} else if err != nil {
+				t.Fatalf("NextBatch: %v", err)
+			}
+		}
+	}
+	stream()
+
+	var before, after runtime.MemStats
+	st0 := s.CacheStats()
+	runtime.ReadMemStats(&before)
+	stream()
+	runtime.ReadMemStats(&after)
+	st := s.CacheStats()
+	if st.Gets != st.Hits+st.Misses || st.Decodes != st.Misses {
+		t.Fatalf("Gets/Hits/Misses/Decodes = %d/%d/%d/%d break Gets = Hits + Misses or Decodes = Misses", st.Gets, st.Hits, st.Misses, st.Decodes)
+	}
+	decodes := st.Decodes - st0.Decodes
+	if decodes != chunks {
+		t.Fatalf("second pass decoded %d chunks, want all %d (the cache holds a quarter of the corpus)", decodes, chunks)
+	}
+	if st.ResidentBytes > budget {
+		t.Fatalf("ResidentBytes = %d after streaming, above the budget %d", st.ResidentBytes, budget)
+	}
+	perDecode := (after.TotalAlloc - before.TotalAlloc) / decodes
+	if limit := uint64(chunkBytes(DefaultChunkRecords)) / 64; perDecode >= limit {
+		t.Fatalf("full cache allocated %d bytes per decode, want under %d (1/64 of a decoded chunk)", perDecode, limit)
 	}
 }

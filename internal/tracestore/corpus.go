@@ -23,6 +23,7 @@ type Corpus struct {
 	chunkRecords int
 	records      uint64
 	chunks       []chunkInfo
+	maxFrame     uint64 // the longest frame, the size frame buffers are made at
 
 	// cache, when non-nil, interposes the shared decoded-chunk LRU between
 	// readers and decodeChunk (set by Store; standalone opens decode
@@ -61,7 +62,11 @@ func openCorpus(src io.ReaderAt, size int64) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Corpus{src: src, chunkRecords: chunkRecords, records: total, chunks: chunks}, nil
+	c := &Corpus{src: src, chunkRecords: chunkRecords, records: total, chunks: chunks}
+	for _, ci := range chunks {
+		c.maxFrame = max(c.maxFrame, ci.size)
+	}
+	return c, nil
 }
 
 // Records returns the total record count.
@@ -92,33 +97,34 @@ func (c *Corpus) Close() error {
 	return nil
 }
 
-// readFrame fetches chunk i's frame and checks it against the index's
-// CRC-32C: a damaged frame can still decode to the indexed record count and
-// length with wrong records, which only the checksum catches.
-func (c *Corpus) readFrame(i int) ([]byte, error) {
+// decode fetches chunk i's frame into frame's backing array, checks it
+// against the index's CRC-32C and decodes it into dst's backing array,
+// bypassing any cache. The checksum is needed because a damaged frame can
+// still decode to the indexed record count and length with wrong records.
+// A buffer too small for the chunk is replaced; a fresh frame buffer fits
+// every chunk of the corpus, so frames of varying length do not keep
+// regrowing it. decode returns the frame buffer it used, for the caller to
+// reuse.
+func (c *Corpus) decode(i int, frame []byte, dst []trace.Record) ([]byte, []trace.Record, error) {
 	ci := c.chunks[i]
-	frame := make([]byte, ci.size)
+	if uint64(cap(frame)) < ci.size {
+		frame = make([]byte, c.maxFrame)
+	}
+	frame = frame[:ci.size]
 	if _, err := c.src.ReadAt(frame, ci.offset); err != nil {
-		return nil, corrupt("chunk %d: reading frame: %v", i, err)
+		return frame, nil, corrupt("chunk %d: reading frame: %v", i, err)
 	}
 	if got := crc32.Checksum(frame, castagnoli); got != ci.crc {
-		return nil, corrupt("chunk %d: frame checksum %#08x, index says %#08x", i, got, ci.crc)
+		return frame, nil, corrupt("chunk %d: frame checksum %#08x, index says %#08x", i, got, ci.crc)
 	}
-	return frame, nil
-}
-
-// decode fetches and decodes chunk i, bypassing any cache.
-func (c *Corpus) decode(i int) ([]trace.Record, error) {
-	frame, err := c.readFrame(i)
+	if uint64(cap(dst)) < ci.records {
+		dst = make([]trace.Record, 0, decodeCap(ci.records))
+	}
+	recs, err := decodeChunk(frame, ci.records, dst[:0])
 	if err != nil {
-		return nil, err
+		return frame, nil, fmt.Errorf("chunk %d: %w", i, err)
 	}
-	ci := c.chunks[i]
-	recs, err := decodeChunk(frame, ci.records, make([]trace.Record, 0, decodeCap(ci.records)))
-	if err != nil {
-		return nil, fmt.Errorf("chunk %d: %w", i, err)
-	}
-	return recs, nil
+	return frame, recs, nil
 }
 
 // decodeCap bounds the decode buffer's preallocation: the index's record
@@ -139,7 +145,7 @@ func (c *Corpus) acquire(i int) ([]trace.Record, func(), error) {
 	if c.cache != nil {
 		return c.cache.acquire(c, i)
 	}
-	recs, err := c.decode(i)
+	_, recs, err := c.decode(i, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -149,7 +155,7 @@ func (c *Corpus) acquire(i int) ([]trace.Record, func(), error) {
 // VerifyChunk decodes chunk i, which checks its frame checksum, record count
 // and frame length against the index.
 func (c *Corpus) VerifyChunk(i int) error {
-	_, err := c.decode(i)
+	_, _, err := c.decode(i, nil, nil)
 	return err
 }
 

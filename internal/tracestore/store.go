@@ -63,11 +63,12 @@ type Store struct {
 	opt   Options
 	cache *Cache
 
-	mu       sync.Mutex
-	manifest Manifest
-	open     map[string]*Corpus    // hash -> opened container
-	building map[string]*buildWait // hash -> in-flight build
-	nextID   uint64
+	mu         sync.Mutex
+	manifest   Manifest
+	open       map[string]*Corpus    // hash -> opened container
+	superseded []*Corpus             // replaced by longer containers, still open for their readers
+	building   map[string]*buildWait // hash -> in-flight build
+	nextID     uint64
 }
 
 // buildWait is the rendezvous for concurrent Materialize calls on one hash.
@@ -188,11 +189,6 @@ func (s *Store) Materialize(spec workloads.Spec, records uint64) (*Corpus, error
 
 		s.mu.Lock()
 		delete(s.building, key)
-		if err == nil {
-			// A previously opened, shorter corpus for this key stays alive
-			// for its existing readers; new readers get the longer one.
-			s.open[key] = c
-		}
 		s.mu.Unlock()
 		bw.c, bw.err = c, err
 		close(bw.done)
@@ -229,12 +225,16 @@ func (s *Store) openEntry(key string, e ManifestEntry) (*Corpus, error) {
 }
 
 // adoptLocked wires a freshly opened container into the store's shared
-// cache. Caller holds s.mu.
+// cache. A previously opened, shorter corpus for the key stays open for its
+// existing readers until Close; new readers get c. Caller holds s.mu.
 func (s *Store) adoptLocked(key, workload string, c *Corpus) {
 	s.nextID++
 	c.id = s.nextID
 	c.cache = s.cache
 	c.workload = workload
+	if old, ok := s.open[key]; ok {
+		s.superseded = append(s.superseded, old)
+	}
 	s.open[key] = c
 }
 
@@ -383,18 +383,23 @@ func (s *Store) writeManifestLocked() error {
 	return nil
 }
 
-// Close closes every container the store opened. Callers must have drained
-// or closed their readers first.
+// Close closes every container the store opened, superseded ones
+// included. Callers must have drained or closed their readers first.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var first error
+	closing := s.superseded
 	for _, c := range s.open {
+		closing = append(closing, c)
+	}
+	var first error
+	for _, c := range closing {
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
 	s.open = make(map[string]*Corpus)
+	s.superseded = nil
 	return first
 }
 

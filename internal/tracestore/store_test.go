@@ -124,6 +124,38 @@ func TestStoreRebuildOnLongerRequest(t *testing.T) {
 	}
 }
 
+// TestStoreCloseClosesSuperseded checks that a corpus replaced by a longer
+// build stays readable for its existing readers, and that Store.Close
+// closes its file along with the current one.
+func TestStoreCloseClosesSuperseded(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir(), ChunkRecords: 512})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	short, err := s.Materialize(testSpec(808), 2000)
+	if err != nil {
+		t.Fatalf("Materialize: %v", err)
+	}
+	long, err := s.Materialize(testSpec(808), 5000)
+	if err != nil {
+		t.Fatalf("longer Materialize: %v", err)
+	}
+	if long == short {
+		t.Fatal("longer Materialize returned the shorter corpus")
+	}
+	if err := short.Verify(); err != nil {
+		t.Fatalf("superseded corpus unreadable before Close: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for name, c := range map[string]*Corpus{"superseded": short, "current": long} {
+		if _, err := c.src.ReadAt(make([]byte, 1), 0); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("%s corpus ReadAt after Close = %v, want os.ErrClosed", name, err)
+		}
+	}
+}
+
 // TestStoreParameterInvalidation checks that changing a generator parameter
 // produces a distinct corpus instead of reusing the stale one.
 func TestStoreParameterInvalidation(t *testing.T) {
