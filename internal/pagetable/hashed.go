@@ -19,10 +19,14 @@ import (
 // the home bucket and continues linearly on tag mismatches; each probe is
 // one memory reference. There are no interior levels, so the walker's
 // page-structure caches are idle with this table.
+//
+// The bucket array is simulated memory, not host memory: the host keeps
+// only the occupied buckets' groups plus one occupancy bit per bucket, so
+// a table's host footprint follows what it maps.
 type Hashed struct {
 	buckets   int // power of two
 	basePFN   arch.PFN
-	tags      []uint64 // occupied group tag per bucket (+1 so 0 = free)
+	occupied  []uint64 // bit i of word i/64 is set once bucket i holds a group
 	groups    map[uint64]*hashedGroup
 	rng       *rand.Rand
 	nextUser  arch.PFN
@@ -35,7 +39,7 @@ type Hashed struct {
 // hashedGroup holds the resident PTEs of one VPN line group.
 type hashedGroup struct {
 	bucket int // index of the bucket the group landed in
-	ptes   [arch.PTEsPerLine]PTE
+	ptes   [arch.PTEsPerLine]entry
 }
 
 var _ Translator = (*Hashed)(nil)
@@ -45,7 +49,7 @@ var _ Translator = (*Hashed)(nil)
 const hashedBasePFN arch.PFN = 0x0080_0000 // 32 GB
 
 // NewHashed builds a clustered hashed page table with the given bucket
-// count (a power of two; one bucket is one cache line).
+// count (a power of two; one bucket is one cache line of simulated memory).
 func NewHashed(seed int64, buckets int) *Hashed {
 	if buckets <= 0 || buckets&(buckets-1) != 0 {
 		panic("pagetable: hashed buckets must be a positive power of two")
@@ -53,7 +57,7 @@ func NewHashed(seed int64, buckets int) *Hashed {
 	return &Hashed{
 		buckets:  buckets,
 		basePFN:  hashedBasePFN,
-		tags:     make([]uint64, buckets),
+		occupied: make([]uint64, (buckets+63)/64),
 		groups:   make(map[uint64]*hashedGroup),
 		rng:      rand.New(rand.NewSource(seed)),
 		nextUser: userBasePFN,
@@ -62,11 +66,13 @@ func NewHashed(seed int64, buckets int) *Hashed {
 }
 
 // DefaultHashedBuckets sizes the table for the simulated workloads: 1 M
-// buckets (64 MB of simulated physical memory, 8 M translations).
+// buckets, 64 MB of simulated physical memory holding 8 M translations.
+// The host holds a 128 KiB occupancy bitmap plus the groups a run maps.
 const DefaultHashedBuckets = 1 << 20
 
-// groupTag returns the hash key of vpn's line group, offset so that zero
-// means "free bucket".
+// groupTag returns the hash key of vpn's line group. The offset by one is
+// part of the key the hash places groups by, so the simulated layout
+// depends on it.
 func groupTag(vpn arch.VPN) uint64 { return uint64(vpn.LineGroup()) + 1 }
 
 // hash mixes the group tag into a bucket index.
@@ -79,6 +85,9 @@ func (h *Hashed) hash(tag uint64) int {
 func (h *Hashed) bucketAddr(i int) arch.PAddr {
 	return h.basePFN.Addr() + arch.PAddr(i*arch.LineSize)
 }
+
+// isOccupied reports whether bucket i holds a group.
+func (h *Hashed) isOccupied(i int) bool { return h.occupied[i>>6]&(1<<(i&63)) != 0 }
 
 // allocUserFrame mirrors the radix table's lightly fragmented allocator.
 func (h *Hashed) allocUserFrame() arch.PFN {
@@ -95,22 +104,31 @@ func (h *Hashed) allocUserFrame() arch.PFN {
 // home bucket and extends linearly on tag mismatches; its first
 // arch.MaxRadixLevels buckets become p's references, since a real
 // implementation would rehash longer chains.
+//
+// Buckets are never freed, and a group lands in the first free bucket of
+// its chain, so every bucket from a present group's home to its own is
+// occupied by other groups: its chain length is the distance between the
+// two. Only an absent tag scans the occupancy bits, for the first free
+// bucket.
 func (h *Hashed) find(tag uint64, p *Path) (g *hashedGroup, free int) {
-	idx := h.hash(tag)
-	for step := 0; step < h.buckets; step++ {
-		i := (idx + step) % h.buckets
-		if step < arch.MaxRadixLevels {
-			p.Addrs[step] = h.bucketAddr(i)
-			p.Depth = step + 1
-		}
-		switch h.tags[i] {
-		case tag:
-			return h.groups[tag], -1
-		case 0:
-			return nil, i
+	home := h.hash(tag)
+	chain := h.buckets // an absent tag probes the whole of a full table
+	free = -1
+	if g = h.groups[tag]; g != nil {
+		chain = (g.bucket-home)&(h.buckets-1) + 1
+	} else {
+		for step := 0; step < h.buckets; step++ {
+			if i := (home + step) & (h.buckets - 1); !h.isOccupied(i) {
+				chain, free = step+1, i
+				break
+			}
 		}
 	}
-	return nil, -1
+	p.Depth = min(chain, arch.MaxRadixLevels)
+	for step := 0; step < p.Depth; step++ {
+		p.Addrs[step] = h.bucketAddr((home + step) & (h.buckets - 1))
+	}
+	return g, free
 }
 
 // Walk implements Translator: the probe sequence becomes the walk's memory
@@ -122,9 +140,9 @@ func (h *Hashed) Walk(vpn arch.VPN, allocate bool) Path {
 	h.walks++
 	h.probesSum += uint64(p.Depth)
 	slot := uint64(vpn) % arch.PTEsPerLine
-	if g != nil && g.ptes[slot].Present {
+	if g != nil && g.ptes[slot].present() {
 		p.Present = true
-		p.Leaf = g.ptes[slot].PFN
+		p.Leaf = g.ptes[slot].pfn()
 		return p
 	}
 	if !allocate {
@@ -135,13 +153,13 @@ func (h *Hashed) Walk(vpn arch.VPN, allocate bool) Path {
 			panic("pagetable: hashed table full")
 		}
 		g = &hashedGroup{bucket: free}
-		h.tags[free] = tag
+		h.occupied[free>>6] |= 1 << (free & 63)
 		h.groups[tag] = g
 	}
-	g.ptes[slot] = PTE{PFN: h.allocUserFrame(), Present: true}
+	g.ptes[slot] = mapped(h.allocUserFrame())
 	h.mappedCnt++
 	p.Present = true
-	p.Leaf = g.ptes[slot].PFN
+	p.Leaf = g.ptes[slot].pfn()
 	return p
 }
 
@@ -151,7 +169,7 @@ func (h *Hashed) Lookup(vpn arch.VPN) (PTE, bool) {
 	if !ok {
 		return PTE{}, false
 	}
-	pte := g.ptes[uint64(vpn)%arch.PTEsPerLine]
+	pte := g.ptes[uint64(vpn)%arch.PTEsPerLine].pte()
 	return pte, pte.Present
 }
 
@@ -166,12 +184,7 @@ func (h *Hashed) MarkAccessed(vpn arch.VPN) bool {
 	if !ok {
 		return false
 	}
-	pte := &g.ptes[uint64(vpn)%arch.PTEsPerLine]
-	if !pte.Present || pte.Accessed {
-		return false
-	}
-	pte.Accessed = true
-	return true
+	return g.ptes[uint64(vpn)%arch.PTEsPerLine].markAccessed()
 }
 
 // ClearAccessed implements Translator.
@@ -180,21 +193,16 @@ func (h *Hashed) ClearAccessed(vpn arch.VPN) bool {
 	if !ok {
 		return false
 	}
-	pte := &g.ptes[uint64(vpn)%arch.PTEsPerLine]
-	if !pte.Present || !pte.Accessed {
-		return false
-	}
-	pte.Accessed = false
-	return true
+	return g.ptes[uint64(vpn)%arch.PTEsPerLine].clearAccessed()
 }
 
 // LineGroup implements Translator: the bucket line holds the whole group,
 // so spatial prefetching works exactly as with the radix table.
-func (h *Hashed) LineGroup(vpn arch.VPN) [arch.PTEsPerLine]PTE {
-	if g, ok := h.groups[groupTag(vpn)]; ok {
-		return g.ptes
+func (h *Hashed) LineGroup(vpn arch.VPN) (g [arch.PTEsPerLine]PTE) {
+	if grp, ok := h.groups[groupTag(vpn)]; ok {
+		decodeLine(&g, &grp.ptes)
 	}
-	return [arch.PTEsPerLine]PTE{}
+	return g
 }
 
 // InteriorLevels implements Translator: hashed walks have no interior

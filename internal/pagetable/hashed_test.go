@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -78,27 +79,24 @@ func TestHashedLineNeighbors(t *testing.T) {
 
 // TestHashedProbeChainCapped fills a small table so that probe chains grow
 // past arch.MaxRadixLevels, and checks each walk's references against the
-// chain computed from the bucket tags: the home bucket and its linear
-// successors up to the tag's bucket, capped at arch.MaxRadixLevels.
+// chain computed from the bucket tags of the dense reference filled the
+// same way: the home bucket and its linear successors up to the tag's
+// bucket, capped at arch.MaxRadixLevels.
 func TestHashedProbeChainCapped(t *testing.T) {
 	const buckets = 16
-	h := NewHashed(1, buckets)
+	h, ref := NewHashed(1, buckets), newDenseHashed(1, buckets)
 	var vpns []arch.VPN
 	for i := 0; i < buckets; i++ {
 		vpn := arch.VPN(i * 8 * 977) // distinct groups
 		h.EnsureMapped(vpn)
+		ref.EnsureMapped(vpn)
 		vpns = append(vpns, vpn)
 	}
 	longest := 0
 	for _, vpn := range append(vpns, 0x7777_0000) { // the last is absent
-		tag := groupTag(vpn)
-		home := h.hash(tag)
-		chain := buckets // an absent group probes the whole full table
-		for i := 0; i < buckets; i++ {
-			if h.tags[(home+i)%buckets] == tag {
-				chain = i + 1
-				break
-			}
+		home, chain := ref.chain(vpn) // an absent group probes the whole full table
+		if home != h.hash(groupTag(vpn)) {
+			t.Fatalf("vpn %#x: home bucket %d, reference %d", vpn, h.hash(groupTag(vpn)), home)
 		}
 		longest = max(longest, chain)
 		p := h.Walk(vpn, false)
@@ -116,6 +114,23 @@ func TestHashedProbeChainCapped(t *testing.T) {
 	}
 	if longest <= arch.MaxRadixLevels {
 		t.Fatalf("longest chain %d never exceeded the cap", longest)
+	}
+}
+
+// TestNewHashedHostMemory requires a table of the default geometry, 64 MB
+// of simulated memory, to cost at most 256 KiB of host memory before it maps
+// anything: the occupancy bits and the frame allocator's random source, not
+// a host array of every bucket.
+func TestNewHashedHostMemory(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := NewHashed(1, DefaultHashedBuckets)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(h)
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(256<<10)
+	t.Logf("NewHashed(1, DefaultHashedBuckets) allocated %d bytes", got)
+	if got > limit {
+		t.Errorf("NewHashed(1, DefaultHashedBuckets) allocated %d bytes, want at most %d", got, limit)
 	}
 }
 

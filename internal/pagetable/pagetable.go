@@ -31,6 +31,57 @@ type PTE struct {
 	Accessed bool
 }
 
+// entry is a leaf PTE as a table stores it: one 64-bit word in the x86
+// layout, the frame's physical address with the present flag in bit 0 and
+// the accessed flag in bit 5. The zero entry is an absent translation.
+type entry uint64
+
+const (
+	entryPresent  entry = 1 << 0
+	entryAccessed entry = 1 << 5
+)
+
+// mapped returns the present, not yet accessed entry for frame f.
+func mapped(f arch.PFN) entry { return entry(f.Addr()) | entryPresent }
+
+func (e entry) present() bool  { return e&entryPresent != 0 }
+func (e entry) accessed() bool { return e&entryAccessed != 0 }
+func (e entry) pfn() arch.PFN  { return arch.PAddr(e).Page() }
+
+// pte decodes the entry.
+func (e entry) pte() PTE {
+	return PTE{PFN: e.pfn(), Present: e.present(), Accessed: e.accessed()}
+}
+
+// markAccessed sets e's accessed bit, reporting a clear-to-set transition
+// of a present entry.
+func (e *entry) markAccessed() bool {
+	if !e.present() || e.accessed() {
+		return false
+	}
+	*e |= entryAccessed
+	return true
+}
+
+// clearAccessed resets e's accessed bit, reporting whether a present
+// entry had it set.
+func (e *entry) clearAccessed() bool {
+	if !e.present() || !e.accessed() {
+		return false
+	}
+	*e &^= entryAccessed
+	return true
+}
+
+// decodeLine decodes one cache line of leaf entries into g. It fills the
+// caller's array in place, small enough to inline, because LineGroup runs
+// on every spatial prefetch.
+func decodeLine(g *[arch.PTEsPerLine]PTE, line *[arch.PTEsPerLine]entry) {
+	for i, e := range line {
+		g[i] = e.pte()
+	}
+}
+
 // Path describes one translation walk: the physical addresses the walker
 // must read, in order, plus the outcome. For a radix table these are the
 // per-level PTE addresses (index 0 = root); for a hashed table they are the
@@ -85,11 +136,12 @@ type Translator interface {
 
 // node is one page table page: 512 entries, either pointers to child nodes
 // (interior levels) or leaf translations. Each node allocates only the array
-// its level uses; the other stays nil.
+// its level uses; the other stays nil. A leaf's array holds one word per
+// entry, as the simulated page does, so it takes 4 KiB of host memory.
 type node struct {
 	frame    arch.PFN
 	children *[arch.RadixFanout]*node // interior levels only
-	leaves   *[arch.RadixFanout]PTE   // leaf level only
+	leaves   *[arch.RadixFanout]entry // leaf level only
 }
 
 // Table is the per-address-space radix page table plus the OS frame
@@ -247,7 +299,7 @@ func (t *Table) radixIndex(vpn arch.VPN, level int) uint64 {
 func (t *Table) newNode(level int) *node {
 	n := &node{frame: t.nextKern}
 	if level == t.levels-1 {
-		n.leaves = new([arch.RadixFanout]PTE)
+		n.leaves = new([arch.RadixFanout]entry)
 	} else {
 		n.children = new([arch.RadixFanout]*node)
 	}
@@ -289,15 +341,15 @@ func (t *Table) Walk(vpn arch.VPN, allocate bool) Path {
 		p.Addrs[level] = pteAddr(n, idx)
 		p.Depth = level + 1
 		if level == t.levels-1 {
-			if !n.leaves[idx].Present {
+			if !n.leaves[idx].present() {
 				if !allocate {
 					return p
 				}
-				n.leaves[idx] = PTE{PFN: t.allocUserFrame(), Present: true}
+				n.leaves[idx] = mapped(t.allocUserFrame())
 				t.mappedCnt++
 			}
 			p.Present = true
-			p.Leaf = n.leaves[idx].PFN
+			p.Leaf = n.leaves[idx].pfn()
 			return p
 		}
 		child := n.children[idx]
@@ -333,7 +385,7 @@ func (t *Table) Lookup(vpn arch.VPN) (PTE, bool) {
 			return PTE{}, false
 		}
 	}
-	pte := n.leaves[t.radixIndex(vpn, t.levels-1)]
+	pte := n.leaves[t.radixIndex(vpn, t.levels-1)].pte()
 	return pte, pte.Present
 }
 
@@ -362,12 +414,7 @@ func (t *Table) MarkAccessed(vpn arch.VPN) bool {
 			return false
 		}
 	}
-	idx := t.radixIndex(vpn, t.levels-1)
-	if !n.leaves[idx].Present || n.leaves[idx].Accessed {
-		return false
-	}
-	n.leaves[idx].Accessed = true
-	return true
+	return n.leaves[t.radixIndex(vpn, t.levels-1)].markAccessed()
 }
 
 // ClearAccessed resets vpn's accessed bit, reporting whether it was set.
@@ -388,12 +435,7 @@ func (t *Table) ClearAccessed(vpn arch.VPN) bool {
 			return false
 		}
 	}
-	idx := t.radixIndex(vpn, t.levels-1)
-	if !n.leaves[idx].Present || !n.leaves[idx].Accessed {
-		return false
-	}
-	n.leaves[idx].Accessed = false
-	return true
+	return n.leaves[t.radixIndex(vpn, t.levels-1)].clearAccessed()
 }
 
 // LineGroup implements Translator with one descent to vpn's leaf node. A
@@ -411,9 +453,9 @@ func (t *Table) LineGroup(vpn arch.VPN) (g [arch.PTEsPerLine]PTE) {
 			return g
 		}
 	}
-	// A leaf entry's PTE is zero until mapped, and pages are never unmapped.
+	// A leaf entry is zero until mapped, and pages are never unmapped.
 	base := t.radixIndex(vpn.LineGroup(), t.levels-1)
-	copy(g[:], n.leaves[base:])
+	decodeLine(&g, (*[arch.PTEsPerLine]entry)(n.leaves[base:]))
 	return g
 }
 

@@ -277,9 +277,10 @@ func TestWalkPathAddrsWithinNodes(t *testing.T) {
 
 // TestNodeSizeByLevel maps one page in each of 64 distinct 2 MB regions, which
 // builds 64 leaf nodes under one PDP and one PD node. A leaf node needs its
-// 512 PTEs (8 KiB) and an interior node its 512 child pointers (4 KiB), so the
-// mappings must allocate at most 8.5 KiB per leaf and 4.5 KiB per interior
-// node; a node that carried both arrays would take over 12 KiB each.
+// 512 one-word PTEs (4 KiB) and an interior node its 512 child pointers
+// (4 KiB), so the mappings must allocate at most 4.5 KiB per node; a leaf of
+// 16-byte decoded PTEs would take over 8 KiB, and a node that carried both
+// arrays over 12 KiB.
 func TestNodeSizeByLevel(t *testing.T) {
 	const regions = 64
 	pt := New(1)
@@ -292,7 +293,7 @@ func TestNodeSizeByLevel(t *testing.T) {
 	if got := pt.Nodes(); got != regions+3 {
 		t.Fatalf("Nodes = %d, want %d (root, PDP, PD and one leaf per region)", got, regions+3)
 	}
-	limit := uint64(regions*8704 + 2*4608)
+	limit := uint64(regions*4608 + 2*4608)
 	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 		t.Errorf("mapping %d regions allocated %d bytes, want at most %d", regions, got, limit)
 	}

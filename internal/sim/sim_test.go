@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -460,6 +461,28 @@ func TestPageTableKinds(t *testing.T) {
 		}
 		if st.DemandIWalks == 0 || st.Instructions != 200_000 {
 			t.Fatalf("%v: %+v", kind, st)
+		}
+	}
+}
+
+// TestNewHostMemory requires building a single-thread Table 1 machine to
+// allocate at most 1 MiB of host memory on every page-table kind: what the
+// caches, TLBs and walker hold, not a host array sized by the simulated
+// hashed table.
+func TestNewHostMemory(t *testing.T) {
+	for _, kind := range []string{machine.PageTableRadix4, machine.PageTableRadix5, machine.PageTableHashed} {
+		cfg := DefaultConfig()
+		cfg.PageTable = kind
+		threads := []ThreadSpec{{Reader: testWorkload()}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := mustNew(t, cfg, threads)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20)
+		t.Logf("%s: New allocated %d bytes", kind, got)
+		if got > limit {
+			t.Errorf("%s: New allocated %d bytes, want at most %d", kind, got, limit)
 		}
 	}
 }

@@ -155,7 +155,7 @@ type Generator struct {
 	rstart []int // routine r's pages are pages[rstart[r]:rstart[r+1]]
 	redges [][]edge
 	perm   []int    // popularity rank -> routine index
-	entry  []uint64 // page p's entry offsets (bytes) are entry[p*EntryPoints:][:EntryPoints]
+	entry  []uint16 // page p's entry offsets (bytes, below the page size) are entry[p*EntryPoints:][:EntryPoints]
 
 	curR    int // current routine
 	curIdx  int // position within the routine's page list
@@ -201,10 +201,10 @@ func NewServerGenerator(p ServerParams) *Generator {
 	for r := range g.redges {
 		g.redges[r] = g.buildEdges(r)
 	}
-	g.entry = make([]uint64, p.CodePages*p.EntryPoints)
+	g.entry = make([]uint16, p.CodePages*p.EntryPoints)
 	if limit := arch.PageSize - uint64(p.RunLenMax*4); limit > 0 {
 		for i := range g.entry {
-			g.entry[i] = uint64(g.rng.Int63n(int64(limit)+1)) &^ 3
+			g.entry[i] = uint16(g.rng.Int63n(int64(limit)+1)) &^ 3
 		}
 	}
 	g.enterRoutine(g.perm[0])
@@ -403,7 +403,7 @@ func (g *Generator) enterRoutine(r int) {
 
 // startRun begins a new sequential run inside the current page.
 func (g *Generator) startRun() {
-	g.curOff = g.entry[g.curPage*g.p.EntryPoints+g.rng.Intn(g.p.EntryPoints)]
+	g.curOff = uint64(g.entry[g.curPage*g.p.EntryPoints+g.rng.Intn(g.p.EntryPoints)])
 	g.runLeft = g.p.RunLenMin
 	if g.p.RunLenMax > g.p.RunLenMin {
 		g.runLeft += g.rng.Intn(g.p.RunLenMax - g.p.RunLenMin + 1)

@@ -3,6 +3,8 @@ package tracestore
 import (
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -41,7 +43,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			got, release, err := c.acquire(0)
+			got, release, err := cache.acquire(c, 0)
 			if err != nil {
 				t.Errorf("acquire: %v", err)
 				return
@@ -73,7 +75,7 @@ func TestCacheEviction(t *testing.T) {
 	c, cache := cachedCorpus(t, recs, chunk, 2*chunkBytes(chunk))
 
 	for i := 0; i < 4; i++ {
-		_, release, err := c.acquire(i)
+		_, release, err := cache.acquire(c, i)
 		if err != nil {
 			t.Fatalf("acquire(%d): %v", i, err)
 		}
@@ -88,7 +90,7 @@ func TestCacheEviction(t *testing.T) {
 	}
 
 	// Chunks 2 and 3 are resident; chunk 0 was evicted and must re-decode.
-	_, release, err := c.acquire(3)
+	_, release, err := cache.acquire(c, 3)
 	if err != nil {
 		t.Fatalf("acquire(3): %v", err)
 	}
@@ -96,7 +98,7 @@ func TestCacheEviction(t *testing.T) {
 	if got := cache.Stats().Decodes; got != 4 {
 		t.Fatalf("Decodes after resident re-acquire = %d, want 4", got)
 	}
-	_, release, err = c.acquire(0)
+	_, release, err = cache.acquire(c, 0)
 	if err != nil {
 		t.Fatalf("acquire(0): %v", err)
 	}
@@ -116,7 +118,7 @@ func TestCachePinnedNotEvicted(t *testing.T) {
 	var releases []func()
 	var pinned [][]trace.Record
 	for i := 0; i < 3; i++ {
-		got, release, err := c.acquire(i)
+		got, release, err := cache.acquire(c, i)
 		if err != nil {
 			t.Fatalf("acquire(%d): %v", i, err)
 		}
@@ -152,11 +154,11 @@ func TestCacheReleaseIdempotent(t *testing.T) {
 	recs := genRecords(t, 2*chunk)
 	c, cache := cachedCorpus(t, recs, chunk, 1<<30)
 
-	_, r1, err := c.acquire(0)
+	_, r1, err := cache.acquire(c, 0)
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
-	got, r2, err := c.acquire(0)
+	got, r2, err := cache.acquire(c, 0)
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
@@ -168,7 +170,7 @@ func TestCacheReleaseIdempotent(t *testing.T) {
 	// The entry is still pinned by r2; the budget cannot evict it, and a
 	// third acquire must hit.
 	before := cache.Stats().Decodes
-	_, r3, err := c.acquire(0)
+	_, r3, err := cache.acquire(c, 0)
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
@@ -202,7 +204,7 @@ func TestCacheDecodeError(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := c.acquire(0); !errors.Is(err, ErrCorrupt) {
+			if _, _, err := cache.acquire(c, 0); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("acquire error = %v, want ErrCorrupt", err)
 			}
 		}()
@@ -213,7 +215,7 @@ func TestCacheDecodeError(t *testing.T) {
 	}
 	// The failed entry must not be cached: a fresh acquire decodes again.
 	before := cache.Stats().Decodes
-	if _, _, err := c.acquire(0); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := cache.acquire(c, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("retry acquire error = %v, want ErrCorrupt", err)
 	}
 	if got := cache.Stats().Decodes; got != before+1 {
@@ -276,4 +278,76 @@ func TestFullCacheDecodeAllocations(t *testing.T) {
 	if limit := uint64(chunkBytes(DefaultChunkRecords)) / 64; perDecode >= limit {
 		t.Fatalf("full cache allocated %d bytes per decode, want under %d (1/64 of a decoded chunk)", perDecode, limit)
 	}
+}
+
+// TestStandaloneDecodeAllocations streams a corpus opened from a file
+// without a store, 32 default-size chunks, through one reader, and then
+// verifies it. A reader holds at most DefaultReadAhead+1 chunks at once
+// and decodes into that many buffer pairs of its own, recycled as chunks
+// are released, and Verify decodes every chunk into one pair. Beyond those
+// pairs, the bytes allocated per decode must stay under 1/64 of a decoded
+// chunk, where a fresh pair per decode costs the whole chunk plus its
+// frame.
+func TestStandaloneDecodeAllocations(t *testing.T) {
+	const chunks = 32
+	path := filepath.Join(t.TempDir(), "t.mtc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(f, testSpec(708).NewReader(), chunks*DefaultChunkRecords, BuildOptions{}); err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenFile(path)
+	if err != nil {
+		t.Fatalf("OpenFile: %v", err)
+	}
+	defer c.Close()
+	if c.Chunks() != chunks || c.ChunkRecords() != DefaultChunkRecords {
+		t.Fatalf("corpus has %d chunks of %d records, want %d of %d", c.Chunks(), c.ChunkRecords(), chunks, DefaultChunkRecords)
+	}
+	// A pair is a chunk's records plus a frame buffer of the longest frame,
+	// rounded up to the heap's 8 KiB pages.
+	pair := uint64(chunkBytes(DefaultChunkRecords)) + c.maxFrame + 8<<10
+	limit := uint64(chunkBytes(DefaultChunkRecords)) / 64
+	check := func(what string, pairs uint64, run func()) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		perDecode := int64(got-min(got, pairs*pair)) / chunks
+		t.Logf("%s allocated %d bytes, %d per decode beyond %d buffer pairs", what, got, perDecode, pairs)
+		if uint64(perDecode) >= limit {
+			t.Errorf("%s allocated %d bytes per decode beyond %d buffer pairs, want under %d (1/64 of a decoded chunk)", what, perDecode, pairs, limit)
+		}
+	}
+
+	check("streaming", DefaultReadAhead+1, func() {
+		r := c.NewReader()
+		defer r.Close()
+		buf := make([]trace.Record, 512)
+		var n uint64
+		for {
+			k, err := r.NextBatch(buf)
+			n += uint64(k)
+			if err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatalf("NextBatch: %v", err)
+			}
+		}
+		if n != c.Records() {
+			t.Fatalf("streamed %d records, want %d", n, c.Records())
+		}
+	})
+	check("Verify", 1, func() {
+		if err := c.Verify(); err != nil {
+			t.Fatalf("Verify: %v", err)
+		}
+	})
 }

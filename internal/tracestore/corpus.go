@@ -139,30 +139,15 @@ func decodeCap(records uint64) uint64 {
 	return records
 }
 
-// acquire returns chunk i's decoded records and a release function, going
-// through the shared cache when the corpus has one.
-func (c *Corpus) acquire(i int) ([]trace.Record, func(), error) {
-	if c.cache != nil {
-		return c.cache.acquire(c, i)
-	}
-	_, recs, err := c.decode(i, nil, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return recs, func() {}, nil
-}
-
-// VerifyChunk decodes chunk i, which checks its frame checksum, record count
-// and frame length against the index.
-func (c *Corpus) VerifyChunk(i int) error {
-	_, _, err := c.decode(i, nil, nil)
-	return err
-}
-
-// Verify checks every chunk against the index (see VerifyChunk).
+// Verify decodes every chunk, which checks its frame checksum, record count
+// and frame length against the index. The chunks share one pair of
+// buffers.
 func (c *Corpus) Verify() error {
+	var frame []byte
+	var recs []trace.Record
 	for i := range c.chunks {
-		if err := c.VerifyChunk(i); err != nil {
+		var err error
+		if frame, recs, err = c.decode(i, frame, recs); err != nil {
 			return err
 		}
 	}

@@ -102,3 +102,30 @@ func TestConcurrentReadersSingleDecode(t *testing.T) {
 		t.Fatalf("Evictions = %d with a corpus-sized budget, want 0", st.Evictions)
 	}
 }
+
+// TestConcurrentStandaloneReaders streams one corpus opened without a store
+// from many goroutines and checks every record. Each reader decodes ahead
+// into buffers of its own and recycles them as chunks are released, so
+// under -race this checks that no buffer is rewritten while its reader
+// still hands out the chunk's records.
+func TestConcurrentStandaloneReaders(t *testing.T) {
+	const (
+		readers = 8
+		chunk   = 512
+		chunks  = 12
+	)
+	recs := genRecords(t, chunk*chunks)
+	c, err := OpenBytes(buildContainer(t, recs, chunk))
+	if err != nil {
+		t.Fatalf("OpenBytes: %v", err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			streamAll(t, c.NewReader(), recs)
+		}()
+	}
+	wg.Wait()
+}

@@ -25,6 +25,12 @@ const DefaultReadAhead = 3
 // A Reader that will not be drained to io.EOF should be Closed to unpin its
 // in-flight chunks from the shared cache; the campaign runner closes the
 // readers of every finished job.
+//
+// A Reader of a corpus without a cache decodes into buffers of its own:
+// it holds at most DefaultReadAhead+1 chunks at once, the one being
+// consumed and those in flight, so it makes at most that many pairs of
+// record and frame buffers and recycles them as chunks are released;
+// once they exist, streaming allocates nothing chunk-sized.
 type Reader struct {
 	c *Corpus
 
@@ -36,12 +42,24 @@ type Reader struct {
 	issued  int            // next chunk index to schedule
 	err     error          // sticky decode error
 	closed  bool
+
+	// free holds the released buffer pairs of a reader without a cache.
+	// A pair is made only when free is empty, that is when every pair is
+	// held by another of the at most DefaultReadAhead+1 chunks the reader
+	// holds, so free has room for every pair and a release never blocks.
+	free chan decodeBufs
 }
 
 type fetched struct {
 	recs    []trace.Record
 	release func()
 	err     error
+}
+
+// decodeBufs is one chunk's worth of decode buffers.
+type decodeBufs struct {
+	frame []byte
+	recs  []trace.Record
 }
 
 var (
@@ -52,6 +70,9 @@ var (
 // NewReader returns a fresh reader positioned at the first record.
 func (c *Corpus) NewReader() *Reader {
 	r := &Reader{c: c}
+	if c.cache == nil {
+		r.free = make(chan decodeBufs, DefaultReadAhead+1)
+	}
 	r.fill()
 	return r
 }
@@ -63,11 +84,31 @@ func (r *Reader) fill() {
 		r.issued++
 		ch := make(chan fetched, 1)
 		go func() {
-			recs, release, err := r.c.acquire(i)
+			recs, release, err := r.acquire(i)
 			ch <- fetched{recs: recs, release: release, err: err}
 		}()
 		r.pending = append(r.pending, ch)
 	}
+}
+
+// acquire returns chunk i's decoded records and a release function, going
+// through the shared cache when the corpus has one and decoding into a
+// released pair of the reader's own buffers when it has not.
+func (r *Reader) acquire(i int) ([]trace.Record, func(), error) {
+	if r.c.cache != nil {
+		return r.c.cache.acquire(r.c, i)
+	}
+	var b decodeBufs
+	select {
+	case b = <-r.free:
+	default: // every pair is held by another chunk: decode makes one
+	}
+	frame, recs, err := r.c.decode(i, b.frame, b.recs)
+	if err != nil {
+		r.free <- decodeBufs{frame, b.recs}
+		return nil, nil, err
+	}
+	return recs, func() { r.free <- decodeBufs{frame, recs} }, nil
 }
 
 // advance releases the consumed chunk and takes the next one off the
