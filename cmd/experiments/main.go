@@ -14,7 +14,7 @@
 //	experiments -exp all -journal run.journal -resume  # skip already-journaled jobs
 //	experiments -exp all -results results/       # reuse stored results across runs
 //	experiments -exp all -fabric :9090           # delegate jobs to fabric workers
-//	experiments -exp fig9 -quick -fabric :9090 -lease-ttl 5s -trace-out fleet.json
+//	experiments -exp fig9 -quick -fabric :9090 -lease-ttl 5s -trace-out leases.json  # coordinator spans
 //	experiments -exp fig15 -dry-run              # print enumerated jobs, simulate nothing
 //	experiments -exp fig15 -sample -corpus corpus/  # sampled mode: timed slices + 95% CIs
 //	experiments -exp fig15 -trace-out trace.json # Perfetto-loadable lifecycle trace

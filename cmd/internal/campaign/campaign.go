@@ -65,7 +65,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.Resume, "resume", false, "serve already-journaled results from -journal instead of re-simulating")
 	fs.StringVar(&f.Results, "results", "", "durable result store directory: reuse stored results across runs and persist new ones")
 	fs.StringVar(&f.Fabric, "fabric", "", "serve a distributed-campaign coordinator on this address (e.g. :9090) and delegate jobs to fabric workers")
-	fs.StringVar(&f.TraceOut, "trace-out", "", "write a distributed trace of every job's lifecycle phases to this file (.jsonl for JSONL, otherwise Chrome trace-event JSON for Perfetto)")
+	fs.StringVar(&f.TraceOut, "trace-out", "", "write this process's spans of every job's lifecycle phases to this file (.jsonl for JSONL, otherwise Chrome trace-event JSON for Perfetto); with -fabric, workers' job spans go to their own fabric work -trace-out")
 	fs.BoolVar(&f.Sample, "sample", false, "representative-interval sampling for eligible jobs: time only clustered representative slices and report extrapolated stats with 95% CIs")
 	fs.Uint64Var(&f.SampleInterval, "sample-interval", 0, "sampling interval length in instructions (0 = default 100000; measure must be a multiple)")
 	fs.IntVar(&f.SampleClusters, "sample-clusters", 0, "sampling cluster count / representative slices per run (0 = default 8)")

@@ -47,13 +47,10 @@ type CoordinatorOptions struct {
 	// Log, when non-nil, receives one line per notable fabric event (lease
 	// expirations, duplicate submissions).
 	Log io.Writer
-	// Spans, when non-nil, assembles the campaign's distributed trace: the
-	// coordinator records lease-wait and lease spans for every job, asks
-	// workers to attach their spans to submissions (leaseResponse.Trace),
-	// and re-bases worker span timestamps onto its own epoch using the clock
-	// offset estimated from heartbeat round-trip times. Share one recorder
-	// between runner.Options.Spans and this field to get a single campaign
-	// trace covering local and remote phases.
+	// Spans, when non-nil, receives a lease-wait and a lease span for every
+	// job a worker takes. Share one recorder between runner.Options.Spans and
+	// this field to trace the coordinator's side of a campaign in one file;
+	// each worker records its own job spans (WorkerOptions.Spans).
 	Spans *spans.Recorder
 }
 
@@ -100,16 +97,9 @@ type lease struct {
 }
 
 // workerState is the coordinator's view of one worker, fed by every contact
-// (lease polls, heartbeats, submissions). It powers the morrigan_fleet_*
-// gauges and the clock-offset estimation that re-bases worker spans onto the
-// coordinator's trace epoch.
+// (lease polls, heartbeats, submissions) and reported in /fabric/status.
 type workerState struct {
 	last         time.Time
-	rttNS        int64 // last worker-reported heartbeat round trip
-	bestRTTNS    int64 // smallest round trip seen — its offset sample wins
-	offsetNS     int64 // worker trace clock + offset ≈ coordinator trace clock
-	hasOffset    bool
-	heapBytes    uint64 // last worker-reported live heap
 	activeLeases int
 	jobsDone     int
 	instructions uint64  // simulated instructions across accepted submissions
@@ -407,8 +397,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 				Key:      e.key,
 				Job:      encodeJob(e.job),
 				TTLMS:    c.opt.LeaseTTL.Milliseconds(),
-				TraceID:  e.key,
-				Trace:    c.opt.Spans != nil,
 			}
 			c.mu.Unlock()
 			writeJSON(w, http.StatusOK, resp)
@@ -440,8 +428,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 // handleHeartbeat renews a lease; 410 Gone tells the worker its lease
 // expired and the job was (or will be) reassigned, so it should abandon it.
-// Beats also feed the fleet view and the clock-offset estimator (see
-// heartbeatRequest).
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
 	if !decodeBody(w, r, &req) {
@@ -460,14 +446,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if name != "" {
-		ws := c.touchWorkerLocked(name, now)
-		if req.HeapBytes > 0 {
-			ws.heapBytes = req.HeapBytes
-		}
-		if req.RTTNS > 0 {
-			ws.rttNS = req.RTTNS
-		}
-		c.updateOffsetLocked(ws, req.ClockNS, req.RTTNS)
+		c.touchWorkerLocked(name, now)
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -475,25 +454,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-}
-
-// updateOffsetLocked refines a worker's clock-offset estimate from one
-// (clock, rtt) sample: the worker's clock reading is assumed to be taken
-// rtt/2 before arrival, so offset = coordinatorNow − workerClock − rtt/2.
-// The sample with the smallest round trip is the least-skewed estimate and
-// wins; samples without a measured round trip only seed a missing estimate.
-// Caller holds c.mu.
-func (c *Coordinator) updateOffsetLocked(ws *workerState, clockNS, rttNS int64) {
-	if c.opt.Spans == nil || clockNS <= 0 {
-		return
-	}
-	better := !ws.hasOffset || (rttNS > 0 && (ws.bestRTTNS == 0 || rttNS <= ws.bestRTTNS))
-	if !better {
-		return
-	}
-	ws.offsetNS = c.opt.Spans.Now() - clockNS - rttNS/2
-	ws.bestRTTNS = rttNS
-	ws.hasOffset = true
 }
 
 // handleSubmit records a finished job's result. The first submission for a
@@ -518,30 +478,23 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			lws.activeLeases--
 		}
 	}
-	c.updateOffsetLocked(ws, req.ClockNS, ws.rttNS)
 	e, ok := c.entries[req.Key]
 	if !ok {
 		http.Error(w, "fabric: unknown job key", http.StatusNotFound)
 		return
 	}
-	if c.opt.Spans != nil {
-		// The worker's spans are on its own clock; re-base them with its
-		// offset estimate. Import slides the batch forward if the estimate
-		// overshoots, so assembled traces never start before the epoch.
-		c.opt.Spans.Import(req.Spans, ws.offsetNS)
-		if l != nil {
-			c.opt.Spans.Record(spans.Span{
-				TraceID: req.Key,
-				Name:    "lease",
-				Worker:  "coordinator",
-				StartNS: l.grantedNS,
-				DurNS:   c.opt.Spans.Now() - l.grantedNS,
-				Attrs: map[string]string{
-					"worker":   req.Worker,
-					"renewals": fmt.Sprint(l.renewals),
-				},
-			})
-		}
+	if c.opt.Spans != nil && l != nil {
+		c.opt.Spans.Record(spans.Span{
+			TraceID: req.Key,
+			Name:    "lease",
+			Worker:  "coordinator",
+			StartNS: l.grantedNS,
+			DurNS:   c.opt.Spans.Now() - l.grantedNS,
+			Attrs: map[string]string{
+				"worker":   req.Worker,
+				"renewals": fmt.Sprint(l.renewals),
+			},
+		})
 	}
 	if e.state == stateDone {
 		c.duplicates++
@@ -619,18 +572,14 @@ func (c *Coordinator) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.Copy(w, f)
 }
 
-// FleetWorker is one worker's row in the coordinator's fleet view, surfaced
-// in /fabric/status and as morrigan_fleet_* gauges.
+// FleetWorker is one worker's row in /fabric/status.
 type FleetWorker struct {
-	Name                string  `json:"name"`
-	ActiveLeases        int     `json:"active_leases"`
-	JobsDone            int     `json:"jobs_done"`
-	Instructions        uint64  `json:"instructions"`
-	InstrPerSec         float64 `json:"instr_per_sec"`
-	HeartbeatRTTSeconds float64 `json:"heartbeat_rtt_seconds"`
-	HeapBytes           uint64  `json:"heap_bytes"`
-	LastContactSeconds  float64 `json:"last_contact_seconds"`
-	ClockOffsetSeconds  float64 `json:"clock_offset_seconds"`
+	Name               string  `json:"name"`
+	ActiveLeases       int     `json:"active_leases"`
+	JobsDone           int     `json:"jobs_done"`
+	Instructions       uint64  `json:"instructions"`
+	InstrPerSec        float64 `json:"instr_per_sec"`
+	LastContactSeconds float64 `json:"last_contact_seconds"`
 }
 
 // CoordinatorStatus is the /fabric/status document.
@@ -674,14 +623,11 @@ func (c *Coordinator) Status() CoordinatorStatus {
 	}
 	for name, ws := range c.workers {
 		fw := FleetWorker{
-			Name:                name,
-			ActiveLeases:        ws.activeLeases,
-			JobsDone:            ws.jobsDone,
-			Instructions:        ws.instructions,
-			HeartbeatRTTSeconds: float64(ws.rttNS) / 1e9,
-			HeapBytes:           ws.heapBytes,
-			LastContactSeconds:  now.Sub(ws.last).Seconds(),
-			ClockOffsetSeconds:  float64(ws.offsetNS) / 1e9,
+			Name:               name,
+			ActiveLeases:       ws.activeLeases,
+			JobsDone:           ws.jobsDone,
+			Instructions:       ws.instructions,
+			LastContactSeconds: now.Sub(ws.last).Seconds(),
 		}
 		if ws.busySeconds > 0 {
 			fw.InstrPerSec = float64(ws.instructions) / ws.busySeconds
@@ -697,7 +643,7 @@ func (c *Coordinator) Status() CoordinatorStatus {
 // -serve and -fabric reports fabric state on /metrics.
 func (c *Coordinator) Gauges() []obs.Gauge {
 	st := c.Status()
-	gs := []obs.Gauge{
+	return []obs.Gauge{
 		{Name: "morrigan_fabric_jobs_pending", Help: "Fabric jobs awaiting a worker lease.", Value: float64(st.JobsPending)},
 		{Name: "morrigan_fabric_jobs_leased", Help: "Fabric jobs currently leased to workers.", Value: float64(st.JobsLeased)},
 		{Name: "morrigan_fabric_jobs_done", Help: "Fabric jobs with an accepted result.", Value: float64(st.JobsDone)},
@@ -706,18 +652,6 @@ func (c *Coordinator) Gauges() []obs.Gauge {
 		{Name: "morrigan_fabric_duplicate_submits", Help: "Submissions discarded first-write-wins.", Value: float64(st.DuplicateSubmits)},
 		{Name: "morrigan_fabric_mismatch_submits", Help: "Discarded submissions whose stats differed from the accepted result.", Value: float64(st.MismatchSubmits)},
 	}
-	for _, fw := range st.Fleet {
-		labels := map[string]string{"worker": fw.Name}
-		gs = append(gs,
-			obs.Gauge{Name: "morrigan_fleet_worker_instr_per_sec", Help: "Per-worker simulation throughput over accepted submissions.", Labels: labels, Value: fw.InstrPerSec},
-			obs.Gauge{Name: "morrigan_fleet_worker_active_leases", Help: "Leases currently held by the worker.", Labels: labels, Value: float64(fw.ActiveLeases)},
-			obs.Gauge{Name: "morrigan_fleet_worker_jobs_done", Help: "Jobs the worker has submitted and had accepted.", Labels: labels, Value: float64(fw.JobsDone)},
-			obs.Gauge{Name: "morrigan_fleet_worker_heartbeat_rtt_seconds", Help: "Worker-measured round-trip time of its last heartbeat.", Labels: labels, Value: fw.HeartbeatRTTSeconds},
-			obs.Gauge{Name: "morrigan_fleet_worker_heap_bytes", Help: "Worker-reported live heap (runtime HeapAlloc).", Labels: labels, Value: float64(fw.HeapBytes)},
-			obs.Gauge{Name: "morrigan_fleet_worker_last_contact_seconds", Help: "Seconds since the worker last contacted the coordinator.", Labels: labels, Value: fw.LastContactSeconds},
-		)
-	}
-	return gs
 }
 
 // handleStatus serves the status document.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -458,6 +459,59 @@ func TestFabricCoordinatorCloseUnblocks(t *testing.T) {
 	// New work is refused after close.
 	if _, err := coord.ExecuteRemote(context.Background(), job, key, nil); err == nil {
 		t.Fatal("ExecuteRemote accepted work after close")
+	}
+}
+
+// TestWorkerProtocolMismatch drives a worker against a fake coordinator that
+// grants leases under protocol 1. Retrying cannot fix a version skew, so Run
+// must return an error naming both versions at once, without running the
+// job: no heartbeat, no submission.
+func TestWorkerProtocolMismatch(t *testing.T) {
+	job := fabricJobs(1)[0]
+	key, _ := job.Key()
+	var mu sync.Mutex
+	leases, others := 0, 0
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		if r.URL.Path != "/fabric/lease" {
+			others++
+			http.NotFound(w, r)
+			return
+		}
+		leases++
+		writeJSON(w, http.StatusOK, leaseResponse{
+			Protocol: 1,
+			LeaseID:  fmt.Sprintf("l%d", leases),
+			Key:      key,
+			Job:      encodeJob(job),
+			TTLMS:    30_000,
+		})
+	}))
+	defer fake.Close()
+
+	w, err := NewWorker(WorkerOptions{Coordinator: fake.URL, Name: "w1", PollWait: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	err = w.Run(ctx)
+	if err == nil {
+		t.Fatal("Run returned nil against a protocol-1 coordinator, want a protocol error")
+	}
+	if ctx.Err() != nil {
+		t.Errorf("Run returned only when its 2 s context ended: %v", err)
+	}
+	for _, want := range []string{"protocol 1", fmt.Sprintf("worker %d", ProtocolVersion)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Run error %q does not name %q", err, want)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if leases != 1 || others != 0 || w.JobsRun() != 0 {
+		t.Errorf("worker made %d lease and %d other requests and ran %d jobs, want 1, 0 and 0", leases, others, w.JobsRun())
 	}
 }
 

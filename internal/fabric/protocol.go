@@ -38,16 +38,16 @@ import (
 	"morrigan/internal/runner"
 	"morrigan/internal/sampling"
 	"morrigan/internal/sim"
-	"morrigan/internal/spans"
 	"morrigan/internal/trace"
 	"morrigan/internal/workloads"
 )
 
 // ProtocolVersion identifies the fabric wire protocol; lease responses carry
-// it so a worker built against a different protocol fails loudly instead of
-// misreading fields. Version 2 added distributed tracing (trace ids on
-// leases, spans and clock samples on heartbeats/submissions).
-const ProtocolVersion = 2
+// it so a worker built against a different protocol stops with an error
+// instead of misreading fields. Version 3 removed the tracing fields version
+// 2 added: trace ids on leases, clock samples and fleet telemetry on
+// heartbeats, and spans on submissions.
+const ProtocolVersion = 3
 
 // wireWorkload is one workload spec on the wire (the same shape
 // workloads.SaveSpec writes).
@@ -125,28 +125,12 @@ type leaseResponse struct {
 	Key      string  `json:"key"`
 	Job      wireJob `json:"job"`
 	TTLMS    int64   `json:"ttl_ms"`
-	// TraceID is the job's distributed-tracing id (its canonical key);
-	// Trace tells the worker the coordinator is assembling a campaign trace
-	// and wants the job's spans attached to the submission.
-	TraceID string `json:"trace_id,omitempty"`
-	Trace   bool   `json:"trace,omitempty"`
 }
 
-// heartbeatRequest renews a lease. It doubles as the fleet-telemetry and
-// clock-sync channel: each beat carries the worker's monotonic clock, its
-// previously measured heartbeat round-trip time (the coordinator halves it to
-// estimate one-way latency when computing the worker's clock offset), and the
-// worker's live heap.
+// heartbeatRequest renews a lease.
 type heartbeatRequest struct {
 	LeaseID string `json:"lease_id"`
 	Worker  string `json:"worker,omitempty"`
-	// ClockNS is nanoseconds since the worker's trace epoch at send time.
-	ClockNS int64 `json:"clock_ns,omitempty"`
-	// RTTNS is the worker-measured round-trip time of its previous
-	// heartbeat (0 on the first beat).
-	RTTNS int64 `json:"rtt_ns,omitempty"`
-	// HeapBytes is the worker process's live heap (runtime HeapAlloc).
-	HeapBytes uint64 `json:"heap_bytes,omitempty"`
 }
 
 // wireResult is a finished job's outcome on the wire.
@@ -160,18 +144,12 @@ type wireResult struct {
 	Sampling        *sampling.Outcome `json:"sampling,omitempty"`
 }
 
-// submitRequest delivers a finished job's result, plus — when the lease asked
-// for tracing — the worker's spans for the job, timestamped on the worker's
-// own clock. ClockNS samples that clock at send time so the coordinator can
-// re-base the spans onto its trace epoch using the heartbeat-estimated
-// offset.
+// submitRequest delivers a finished job's result.
 type submitRequest struct {
-	Worker  string       `json:"worker"`
-	LeaseID string       `json:"lease_id"`
-	Key     string       `json:"key"`
-	Result  wireResult   `json:"result"`
-	Spans   []spans.Span `json:"spans,omitempty"`
-	ClockNS int64        `json:"clock_ns,omitempty"`
+	Worker  string     `json:"worker"`
+	LeaseID string     `json:"lease_id"`
+	Key     string     `json:"key"`
+	Result  wireResult `json:"result"`
 }
 
 // submitResponse reports how the submission resolved. Duplicate is set when

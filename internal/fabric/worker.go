@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"runtime"
 	"strings"
 	"time"
 
@@ -44,10 +43,8 @@ type WorkerOptions struct {
 	PollWait time.Duration
 	// Log, when non-nil, receives one line per job and per notable event.
 	Log io.Writer
-	// Spans, when non-nil, accumulates this worker's spans locally (for a
-	// worker-side -trace-out export) in addition to shipping them to a
-	// tracing coordinator with each submission. Spans are recorded per job
-	// whenever either side wants them.
+	// Spans, when non-nil, records this worker's job spans (for a
+	// worker-side -trace-out export), each under its job's canonical key.
 	Spans *spans.Recorder
 }
 
@@ -60,11 +57,6 @@ type Worker struct {
 	opt    WorkerOptions
 	base   string
 	client *http.Client
-
-	// epoch anchors every per-job span recorder on one monotonic clock, so
-	// all of this worker's spans share a timebase and one clock sample per
-	// submission suffices to re-base them coordinator-side.
-	epoch time.Time
 
 	// jobsRun counts jobs this worker executed and submitted (informational).
 	jobsRun int
@@ -88,32 +80,27 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 	if client == nil {
 		client = &http.Client{}
 	}
-	epoch := time.Now()
-	if opt.Spans != nil {
-		// A caller-supplied recorder (worker-local -trace-out) defines the
-		// epoch; per-job recorders adopt it so both sets of spans align.
-		epoch = epoch.Add(-time.Duration(opt.Spans.Now()))
-	}
 	return &Worker{
 		opt:    opt,
 		base:   strings.TrimSuffix(opt.Coordinator, "/"),
 		client: client,
-		epoch:  epoch,
 	}, nil
 }
 
-// now is the worker's trace clock: nanoseconds since its epoch.
-func (w *Worker) now() int64 { return int64(time.Since(w.epoch)) }
-
 // JobsRun reports how many jobs this worker executed and submitted.
 func (w *Worker) JobsRun() int { return w.jobsRun }
+
+// errProtocolMismatch marks a lease from a coordinator built against another
+// ProtocolVersion. Retrying cannot help, so Run returns it.
+var errProtocolMismatch = errors.New("fabric: protocol mismatch")
 
 // Run is the worker loop: lease, simulate, submit, repeat. It returns nil on
 // a clean exit — the context ended, or the coordinator went away after the
 // worker had connected at least once (a finished campaign shuts its
 // coordinator down; workers drain out rather than erroring). Before first
 // contact, connection failures retry with backoff, so a worker may be
-// started before its coordinator.
+// started before its coordinator. A coordinator speaking another protocol
+// version ends the loop at once with an error naming both versions.
 func (w *Worker) Run(ctx context.Context) error {
 	connected := false
 	backoff := 100 * time.Millisecond
@@ -125,6 +112,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
+			}
+			if errors.Is(err, errProtocolMismatch) {
+				return err
 			}
 			if connected {
 				// The coordinator answered before and is now unreachable:
@@ -168,7 +158,7 @@ func (w *Worker) lease(ctx context.Context) (leaseResponse, bool, error) {
 	switch status {
 	case http.StatusOK:
 		if resp.Protocol != ProtocolVersion {
-			return leaseResponse{}, false, fmt.Errorf("fabric: coordinator speaks protocol %d, worker %d", resp.Protocol, ProtocolVersion)
+			return leaseResponse{}, false, fmt.Errorf("%w: coordinator speaks protocol %d, worker %d", errProtocolMismatch, resp.Protocol, ProtocolVersion)
 		}
 		return resp, true, nil
 	case http.StatusNoContent:
@@ -184,12 +174,6 @@ func (w *Worker) lease(ctx context.Context) (leaseResponse, bool, error) {
 // reassigned run's result stands instead.
 func (w *Worker) process(ctx context.Context, grant leaseResponse) {
 	job := decodeJob(grant.Job)
-	// One recorder per job, on the worker's shared epoch, whenever the
-	// coordinator is assembling a trace or the worker exports its own.
-	var rec *spans.Recorder
-	if grant.Trace || w.opt.Spans != nil {
-		rec = spans.NewRecorderAt(w.opt.Name, w.epoch)
-	}
 	if key, ok := job.Key(); !ok || key != grant.Key {
 		// The job does not re-derive the coordinator's key: a hash-version or
 		// protocol skew between builds. Fail the job loudly — silently
@@ -197,7 +181,7 @@ func (w *Worker) process(ctx context.Context, grant leaseResponse) {
 		// the same wall on every worker.
 		w.logf("job %s key skew (coordinator %.12s…); failing it", job.Name(), grant.Key)
 		w.submit(ctx, grant, runner.Result{Job: job, Err: fmt.Errorf(
-			"fabric: worker cannot re-derive job key %.12s… (mixed builds?)", grant.Key)}, nil)
+			"fabric: worker cannot re-derive job key %.12s… (mixed builds?)", grant.Key)})
 		return
 	}
 
@@ -211,9 +195,9 @@ func (w *Worker) process(ctx context.Context, grant leaseResponse) {
 	}()
 
 	w.logf("running %s (%.12s…)", job.Name(), grant.Key)
-	opt := runner.Options{Workers: 1, Spans: rec}
+	opt := runner.Options{Workers: 1, Spans: w.opt.Spans}
 	if w.opt.Corpus != nil {
-		opt.NewReader = w.newReader(job, rec, grant.TraceID)
+		opt.NewReader = w.newReader(job, grant.Key)
 	}
 	results, _ := runner.Run(jctx, []runner.Job{job}, opt)
 	res := results[0]
@@ -230,30 +214,11 @@ func (w *Worker) process(ctx context.Context, grant leaseResponse) {
 		if reason == "" {
 			reason = "worker shutdown"
 		}
-		rec.Start(traceIDFor(grant), "abandon").Attr("reason", reason).End()
-		w.keepSpans(rec)
+		w.opt.Spans.Start(grant.Key, "abandon").Attr("reason", reason).End()
 		w.logf("abandoning %s after cancellation (%v)", job.Name(), res.Err)
 		return
 	}
-	w.submit(ctx, grant, res, rec)
-	w.keepSpans(rec)
-}
-
-// traceIDFor is the trace id a grant's spans use: the explicit id when the
-// coordinator sent one (protocol ≥ 2 always does), else the job key.
-func traceIDFor(grant leaseResponse) string {
-	if grant.TraceID != "" {
-		return grant.TraceID
-	}
-	return grant.Key
-}
-
-// keepSpans folds a finished job's spans into the worker-local recorder for a
-// worker-side export. Offsets are zero — both recorders share one epoch.
-func (w *Worker) keepSpans(rec *spans.Recorder) {
-	if w.opt.Spans != nil && rec != nil {
-		w.opt.Spans.Import(rec.Spans(), 0)
-	}
+	w.submit(ctx, grant, res)
 }
 
 // heartbeatState carries the heartbeat loop's verdict back to process: why
@@ -268,9 +233,7 @@ type heartbeatState struct {
 // unreachable. A transient failure gets one in-tick retry after a jittered
 // pause, all within the TTL/3 beat budget, so a single dropped packet or
 // coordinator GC pause does not throw away a long simulation; only a failed
-// retry cancels. Each beat also reports the worker's trace clock, its
-// previously measured heartbeat round trip, and its live heap — the
-// coordinator's clock-offset and fleet-telemetry feed.
+// retry cancels.
 func (w *Worker) heartbeatLoop(ctx context.Context, cancel context.CancelFunc, grant leaseResponse, hb *heartbeatState) {
 	interval := time.Duration(grant.TTLMS) * time.Millisecond / 3
 	if interval < 10*time.Millisecond {
@@ -278,7 +241,6 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cancel context.CancelFunc, g
 	}
 	t := time.NewTicker(interval)
 	defer t.Stop()
-	var lastRTT int64
 	for {
 		select {
 		case <-ctx.Done():
@@ -288,21 +250,11 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cancel context.CancelFunc, g
 		beat := func(timeout time.Duration) (int, error) {
 			rctx, rcancel := context.WithTimeout(ctx, timeout)
 			defer rcancel()
-			var m runtime.MemStats
-			runtime.ReadMemStats(&m)
 			var ack map[string]bool
-			sent := time.Now()
-			status, err := w.post(rctx, "/fabric/heartbeat", heartbeatRequest{
-				LeaseID:   grant.LeaseID,
-				Worker:    w.opt.Name,
-				ClockNS:   w.now(),
-				RTTNS:     lastRTT,
-				HeapBytes: m.HeapAlloc,
+			return w.post(rctx, "/fabric/heartbeat", heartbeatRequest{
+				LeaseID: grant.LeaseID,
+				Worker:  w.opt.Name,
 			}, &ack)
-			if err == nil {
-				lastRTT = int64(time.Since(sent))
-			}
-			return status, err
 		}
 		status, err := beat(interval / 2)
 		transient := err != nil || (status != http.StatusOK && status != http.StatusGone)
@@ -338,10 +290,8 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cancel context.CancelFunc, g
 	}
 }
 
-// submit delivers one result, retrying transient failures a few times. When
-// the lease asked for tracing, the job's spans ride along with a clock sample
-// so the coordinator can re-base them.
-func (w *Worker) submit(ctx context.Context, grant leaseResponse, res runner.Result, rec *spans.Recorder) {
+// submit delivers one result, retrying transient failures a few times.
+func (w *Worker) submit(ctx context.Context, grant leaseResponse, res runner.Result) {
 	req := submitRequest{
 		Worker:  w.opt.Name,
 		LeaseID: grant.LeaseID,
@@ -357,10 +307,6 @@ func (w *Worker) submit(ctx context.Context, grant leaseResponse, res runner.Res
 	}
 	if res.Err != nil {
 		req.Result.Err = res.Err.Error()
-	}
-	if grant.Trace && rec != nil {
-		req.Spans = rec.Spans()
-		req.ClockNS = w.now()
 	}
 	for attempt := 0; attempt < 3; attempt++ {
 		rctx, rcancel := context.WithTimeout(ctx, 10*time.Second)
@@ -397,12 +343,12 @@ func (w *Worker) submit(ctx context.Context, grant leaseResponse, res runner.Res
 // workload hash and ingested, falling back to a local build when the fetch
 // fails. Either way the job reads the exact same generator output, so
 // results are bit-identical no matter where the container came from.
-func (w *Worker) newReader(job runner.Job, rec *spans.Recorder, traceID string) func(workloads.Spec) (trace.Reader, error) {
+func (w *Worker) newReader(job runner.Job, traceID string) func(workloads.Spec) (trace.Reader, error) {
 	records := job.Warmup + job.Measure
 	return func(spec workloads.Spec) (trace.Reader, error) {
 		hash := spec.Hash()
 		if e, ok := w.opt.Corpus.Manifest().Entries[hash]; !ok || e.Records < records {
-			sp := rec.Start(traceID, "corpus.fetch")
+			sp := w.opt.Spans.Start(traceID, "corpus.fetch")
 			err := w.fetchCorpus(spec, hash, records)
 			sp.Attr("ok", fmt.Sprint(err == nil)).End()
 			if err != nil {

@@ -132,35 +132,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.metric("morrigan_scrapes_total", "Scrapes served by this /metrics endpoint.", "counter")
 	p.sample("morrigan_scrapes_total", nil, float64(scrapes))
 
-	// Straggler detector and SSE back-pressure.
-	p.metric("morrigan_campaign_straggler_threshold_seconds", "Straggler cutoff: k x the running p95 of completed-job durations (0 while under-sampled).", "gauge")
-	p.sample("morrigan_campaign_straggler_threshold_seconds", nil, st.StragglerThresholdSeconds)
-	p.metric("morrigan_campaign_stragglers", "Active jobs whose running time exceeds the straggler threshold.", "gauge")
-	p.sample("morrigan_campaign_stragglers", nil, float64(len(st.Stragglers)))
+	// SSE back-pressure.
 	p.metric("morrigan_sse_dropped_events_total", "Events dropped on full /events subscriber queues.", "counter")
 	p.sample("morrigan_sse_dropped_events_total", nil, float64(st.SSEDroppedEvents))
 
-	// Externally registered gauges (e.g. fabric coordinator and fleet state).
-	// Gauges sharing a name form one family: emit HELP/TYPE once, then every
-	// labelled sample, preserving first-seen family order.
+	// Externally registered gauges (e.g. fabric coordinator state), each an
+	// unlabelled family of one sample.
 	s.mu.Lock()
 	sources := append([]func() []Gauge(nil), s.gaugeSources...)
 	s.mu.Unlock()
-	var order []string
-	families := make(map[string][]Gauge)
 	for _, src := range sources {
 		for _, g := range src() {
-			if _, ok := families[g.Name]; !ok {
-				order = append(order, g.Name)
-			}
-			families[g.Name] = append(families[g.Name], g)
-		}
-	}
-	for _, name := range order {
-		fam := families[name]
-		p.metric(name, fam[0].Help, "gauge")
-		for _, g := range fam {
-			p.sample(name, g.Labels, g.Value)
+			p.metric(g.Name, g.Help, "gauge")
+			p.sample(g.Name, nil, g.Value)
 		}
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"sync"
 	"time"
 
@@ -46,25 +45,13 @@ import (
 
 // statusSchemaVersion identifies the /campaign JSON document's schema. It is
 // the status document's own version, not the result-file schema
-// (runner.SchemaVersion): fields added to the document leave it unchanged.
-const statusSchemaVersion = 1
+// (runner.SchemaVersion): fields added to the document leave it unchanged,
+// and removing one bumps it. Version 2 dropped the straggler fields.
+const statusSchemaVersion = 2
 
 // maxRecent bounds the finished-job history kept for /campaign; older entries
 // roll into the aggregate counters only.
 const maxRecent = 64
-
-// maxDurations bounds the completed-job duration history the straggler
-// detector computes its running p95 over.
-const maxDurations = 512
-
-// stragglerMinSamples is how many completed durations the detector needs
-// before it judges anyone — a p95 over a handful of jobs is noise.
-const stragglerMinSamples = 4
-
-// DefaultStragglerK is the straggler threshold multiplier: a live job is
-// flagged once its execution time exceeds k× the running p95 of completed job
-// durations.
-const DefaultStragglerK = 3.0
 
 // jobState tracks one campaign job from JobStarted to JobFinished.
 type jobState struct {
@@ -151,9 +138,6 @@ type Server struct {
 	gaugeSources []func() []Gauge        // extra /metrics gauges (see AddGaugeSource)
 	readiness    map[string]func() error // named readiness checks (see AddReadiness)
 
-	durations []float64    // completed-job wall seconds (bounded window) for the p95
-	flagged   map[int]bool // active job indices already announced as stragglers
-
 	hub *hub
 	mux *http.ServeMux
 
@@ -169,7 +153,6 @@ func New() *Server {
 		started:   time.Now(),
 		active:    make(map[int]*jobState),
 		readiness: make(map[string]func() error),
-		flagged:   make(map[int]bool),
 		hub:       newHub(),
 		mux:       http.NewServeMux(),
 	}
@@ -276,7 +259,6 @@ func (s *Server) JobFinished(index int, res runner.Result) {
 	}
 	s.mu.Lock()
 	delete(s.active, index)
-	delete(s.flagged, index)
 	s.doneJobs++
 	if res.Reused == "" {
 		s.executedJobs++
@@ -290,12 +272,6 @@ func (s *Server) JobFinished(index int, res runner.Result) {
 		s.sampledRuns++
 		s.sampledTimed += res.Sampling.TimedInstructions
 		s.sampledFF += res.Sampling.FastForwarded
-	}
-	if res.Err == nil && res.Elapsed > 0 {
-		s.durations = append(s.durations, res.Elapsed.Seconds())
-		if len(s.durations) > maxDurations {
-			s.durations = s.durations[len(s.durations)-maxDurations:]
-		}
 	}
 	s.recent = append(s.recent, f)
 	if len(s.recent) > maxRecent {
@@ -323,28 +299,7 @@ type liveJob struct {
 	jobCounters
 	InstrPerSec float64 `json:"instr_per_sec"`
 	// Samples counts the progress reports received so far.
-	Samples   int  `json:"samples"`
-	Straggler bool `json:"straggler,omitempty"`
-}
-
-// stragglerThresholdLocked computes the current straggler cutoff: k× the p95
-// of completed-job durations, or 0 while too few jobs have finished to judge.
-// Callers hold s.mu.
-func (s *Server) stragglerThresholdLocked() float64 {
-	if len(s.durations) < stragglerMinSamples {
-		return 0
-	}
-	ds := append([]float64(nil), s.durations...)
-	sort.Float64s(ds)
-	// Nearest-rank p95 (matches the runner's summary percentiles).
-	idx := int(float64(len(ds))*0.95+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(ds) {
-		idx = len(ds) - 1
-	}
-	return DefaultStragglerK * ds[idx]
+	Samples int `json:"samples"`
 }
 
 // campaignStatus is the /campaign JSON document.
@@ -359,11 +314,6 @@ type campaignStatus struct {
 	// Instructions counts executed instructions: finished jobs' plus live
 	// jobs' latest totals. It never decreases.
 	Instructions uint64 `json:"instructions"`
-	// StragglerThresholdSeconds is the current straggler cutoff (k× the
-	// running p95 of completed-job durations; 0 while under-sampled), and
-	// Stragglers names the active jobs beyond it.
-	StragglerThresholdSeconds float64  `json:"straggler_threshold_seconds"`
-	Stragglers                []string `json:"stragglers"`
 	// SSEDroppedEvents counts events dropped on full /events subscriber
 	// queues since the server started.
 	SSEDroppedEvents uint64        `json:"sse_dropped_events"`
@@ -373,28 +323,23 @@ type campaignStatus struct {
 
 // status reads the campaign state under one lock, so the finished and live
 // instruction counts come from one instant and their sum never goes
-// backwards between scrapes. It also applies the straggler detector: an
-// active job whose running time exceeds the threshold is marked, and
-// announced once on the SSE stream the first time it crosses.
+// backwards between scrapes.
 func (s *Server) status(now time.Time) campaignStatus {
 	s.mu.Lock()
-	threshold := s.stragglerThresholdLocked()
+	defer s.mu.Unlock()
 	st := campaignStatus{
-		Schema:                    statusSchemaVersion,
-		JobsTotal:                 s.totalJobs,
-		JobsDone:                  s.doneJobs,
-		JobsFailed:                s.failedJobs,
-		JobsActive:                len(s.active),
-		ElapsedSeconds:            now.Sub(s.started).Seconds(),
-		ETASeconds:                s.eta(now),
-		Instructions:              s.doneInstr,
-		StragglerThresholdSeconds: threshold,
-		Stragglers:                []string{},
-		SSEDroppedEvents:          s.hub.droppedTotal(),
-		Active:                    make([]liveJob, 0, len(s.active)),
-		Recent:                    append([]finishedJob(nil), s.recent...),
+		Schema:           statusSchemaVersion,
+		JobsTotal:        s.totalJobs,
+		JobsDone:         s.doneJobs,
+		JobsFailed:       s.failedJobs,
+		JobsActive:       len(s.active),
+		ElapsedSeconds:   now.Sub(s.started).Seconds(),
+		ETASeconds:       s.eta(now),
+		Instructions:     s.doneInstr,
+		SSEDroppedEvents: s.hub.droppedTotal(),
+		Active:           make([]liveJob, 0, len(s.active)),
+		Recent:           append([]finishedJob(nil), s.recent...),
 	}
-	var announce []stragglerEvent
 	for _, js := range s.active {
 		lj := liveJob{
 			Index:       js.index,
@@ -406,26 +351,8 @@ func (s *Server) status(now time.Time) campaignStatus {
 		if lj.RunningSecs > 0 {
 			lj.InstrPerSec = float64(lj.Instructions) / lj.RunningSecs
 		}
-		if threshold > 0 && lj.RunningSecs > threshold {
-			lj.Straggler = true
-			st.Stragglers = append(st.Stragglers, lj.Name)
-			if !s.flagged[lj.Index] {
-				s.flagged[lj.Index] = true
-				announce = append(announce, stragglerEvent{
-					Job:              lj.Name,
-					Index:            lj.Index,
-					RunningSeconds:   lj.RunningSecs,
-					ThresholdSeconds: threshold,
-				})
-			}
-		}
 		st.Instructions += lj.Instructions
 		st.Active = append(st.Active, lj)
-	}
-	s.mu.Unlock()
-
-	for _, ev := range announce {
-		s.hub.publish(event{Type: "straggler", Data: ev})
 	}
 	return st
 }
@@ -448,10 +375,6 @@ type Gauge struct {
 	Name string
 	// Help is the metric's # HELP line text.
 	Help string
-	// Labels are optional label name→value pairs (e.g. {"worker": "w1"}).
-	// Gauges sharing a Name but differing in Labels form one metric family
-	// and are emitted under a single HELP/TYPE header.
-	Labels map[string]string
 	// Value is the sample value at scrape time.
 	Value float64
 }

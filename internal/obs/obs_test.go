@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -314,11 +315,28 @@ func TestCampaignStatus(t *testing.T) {
 			InstrPerSec float64 `json:"instr_per_sec"`
 		} `json:"recent"`
 	}
-	if err := json.Unmarshal(get(t, ts, "/campaign"), &st); err != nil {
+	body := get(t, ts, "/campaign")
+	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Schema != statusSchemaVersion {
-		t.Errorf("schema = %d, want %d", st.Schema, statusSchemaVersion)
+	if st.Schema != 2 || statusSchemaVersion != 2 {
+		t.Errorf("schema = %d (statusSchemaVersion %d), want 2", st.Schema, statusSchemaVersion)
+	}
+	// Schema 2's exact top-level keys: adding a key leaves the schema as it
+	// is, removing one bumps it, and either updates this list.
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(body, &top); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(top))
+	for k := range top {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	wantKeys := []string{"active", "elapsed_seconds", "eta_seconds", "instructions", "jobs_active",
+		"jobs_done", "jobs_failed", "jobs_total", "recent", "schema", "sse_dropped_events"}
+	if !reflect.DeepEqual(keys, wantKeys) {
+		t.Errorf("/campaign keys = %v, want %v", keys, wantKeys)
 	}
 	if st.JobsTotal != 3 || st.JobsDone != 3 || st.JobsFailed != 0 {
 		t.Errorf("totals = %d/%d/%d, want 3/3/0", st.JobsTotal, st.JobsDone, st.JobsFailed)

@@ -34,16 +34,6 @@ type jobEvent struct {
 	State string `json:"state"` // started | finished | failed
 }
 
-// stragglerEvent is the payload of "straggler" events: a live job whose
-// execution time crossed the straggler threshold (k× the running p95 of
-// completed jobs). Emitted once per job, when it first crosses.
-type stragglerEvent struct {
-	Job              string  `json:"job"`
-	Index            int     `json:"index"`
-	RunningSeconds   float64 `json:"running_seconds"`
-	ThresholdSeconds float64 `json:"threshold_seconds"`
-}
-
 // subscriber is one connected /events client.
 type subscriber struct {
 	ch      chan event
@@ -128,9 +118,9 @@ func (h *hub) close() {
 }
 
 // handleEvents serves GET /events as a Server-Sent-Events stream. Each
-// message carries an incrementing "id:", an "event:" type ("progress",
-// "job" or "straggler") and a JSON "data:" payload; the stream runs until
-// the client disconnects or the server closes.
+// message carries an incrementing "id:", an "event:" type ("progress" or
+// "job") and a JSON "data:" payload; the stream runs until the client
+// disconnects or the server closes.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {

@@ -182,3 +182,37 @@ func TestHubCloseDisconnectsSubscribers(t *testing.T) {
 		}
 	}
 }
+
+// TestSSEDroppedCounter fills a subscriber's queue without draining it and
+// checks the overflow shows up in /campaign and as
+// morrigan_sse_dropped_events_total.
+func TestSSEDroppedCounter(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	_, cancel := srv.hub.subscribe()
+	defer cancel()
+	over := 10
+	for i := 0; i < subscriberBuffer+over; i++ {
+		srv.hub.publish(event{Type: "job", Data: jobEvent{Job: "w", Index: i, State: "started"}})
+	}
+
+	if got := srv.hub.droppedTotal(); got != uint64(over) {
+		t.Fatalf("droppedTotal = %d, want %d", got, over)
+	}
+	var st campaignStatus
+	if err := json.Unmarshal(get(t, ts, "/campaign"), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.SSEDroppedEvents != uint64(over) {
+		t.Errorf("/campaign sse_dropped_events = %d, want %d", st.SSEDroppedEvents, over)
+	}
+	vals, err := ParseExposition(strings.NewReader(string(get(t, ts, "/metrics"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := vals["morrigan_sse_dropped_events_total"]; got != float64(over) {
+		t.Errorf("morrigan_sse_dropped_events_total = %v, want %d", got, over)
+	}
+}

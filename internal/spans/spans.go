@@ -2,8 +2,8 @@
 // campaigns: a lightweight span recorder that tags every lifecycle phase of a
 // job — lookup, lease, corpus ingest, fast-forward, timed simulation, submit —
 // with a monotonic start/duration, the worker that ran it, and a trace id
-// derived from the job's canonical key, so one campaign's work across many
-// machines assembles into a single timeline.
+// derived from the job's canonical key, so the spans a coordinator and its
+// workers each write join on the key.
 //
 // Spans are one of the two instrumentation paths; the other is the
 // simulator's progress reports (sim.Config.OnProgress), which feed the live
@@ -13,10 +13,9 @@
 // and results are bit-identical either way (asserted by tests).
 //
 // Clocks: spans carry nanoseconds since the recorder's epoch, measured on Go's
-// monotonic clock (time.Since of an epoch time.Time), never wall time. Spans
-// recorded on remote workers are re-based onto the assembling coordinator's
-// epoch via Import, using the clock offset the coordinator estimates from
-// heartbeat round-trip times.
+// monotonic clock (time.Since of an epoch time.Time), never wall time. Each
+// process keeps its own recorder and exports its own spans; nothing re-bases
+// one process's spans onto another's clock.
 package spans
 
 import (
@@ -37,7 +36,7 @@ type Span struct {
 	// Worker identifies the process that recorded the span ("local",
 	// "coordinator", or a fabric worker's name).
 	Worker string `json:"worker,omitempty"`
-	// StartNS is nanoseconds since the assembled trace's epoch, monotonic.
+	// StartNS is nanoseconds since the recorder's epoch, monotonic.
 	StartNS int64 `json:"start_ns"`
 	// DurNS is the span's duration in nanoseconds.
 	DurNS int64 `json:"dur_ns"`
@@ -63,22 +62,7 @@ type Recorder struct {
 // NewRecorder returns a recorder whose clock starts now. worker names the
 // recording process in every span it produces.
 func NewRecorder(worker string) *Recorder {
-	return NewRecorderAt(worker, time.Now())
-}
-
-// NewRecorderAt returns a recorder with an explicit epoch. Per-job recorders
-// on a fabric worker share the worker process's epoch so their spans are in
-// one timebase and ship with a single clock sample.
-func NewRecorderAt(worker string, epoch time.Time) *Recorder {
-	return &Recorder{worker: worker, epoch: epoch}
-}
-
-// Worker returns the recorder's worker name ("" on nil).
-func (r *Recorder) Worker() string {
-	if r == nil {
-		return ""
-	}
-	return r.worker
+	return &Recorder{worker: worker, epoch: time.Now()}
 }
 
 // Now returns nanoseconds since the recorder's epoch on the monotonic clock
@@ -119,37 +103,6 @@ func (r *Recorder) Record(s Span) {
 	}
 	r.mu.Lock()
 	r.spans = append(r.spans, s)
-	r.mu.Unlock()
-}
-
-// Import appends spans recorded on another clock, shifting their start times
-// by offsetNS to re-base them onto this recorder's epoch. If the shift would
-// push any span before the epoch (offset estimation error), the whole batch
-// is slid forward uniformly so its earliest span lands at 0 — a uniform slide
-// preserves the batch's internal nesting and ordering exactly, where a
-// per-span clamp would not.
-func (r *Recorder) Import(ss []Span, offsetNS int64) {
-	if r == nil || len(ss) == 0 {
-		return
-	}
-	adj := offsetNS
-	min := ss[0].StartNS
-	for _, s := range ss[1:] {
-		if s.StartNS < min {
-			min = s.StartNS
-		}
-	}
-	if min+adj < 0 {
-		adj = -min
-	}
-	r.mu.Lock()
-	for _, s := range ss {
-		s.StartNS += adj
-		if s.Worker == "" {
-			s.Worker = r.worker
-		}
-		r.spans = append(r.spans, s)
-	}
 	r.mu.Unlock()
 }
 

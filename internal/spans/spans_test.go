@@ -14,7 +14,7 @@ import (
 
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
-	if r.Now() != 0 || r.Len() != 0 || r.Worker() != "" {
+	if r.Now() != 0 || r.Len() != 0 {
 		t.Fatal("nil recorder leaked state")
 	}
 	sp := r.Start("t", "execute")
@@ -24,7 +24,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	// The whole chain must be a no-op, not a panic.
 	sp.Attr("k", "v").AttrInt("n", 1).End()
 	r.Record(Span{TraceID: "t", Name: "x"})
-	r.Import([]Span{{TraceID: "t", Name: "x"}}, 0)
 	if got := r.Spans(); got != nil {
 		t.Fatalf("nil recorder Spans = %v, want nil", got)
 	}
@@ -68,56 +67,6 @@ func TestRecorderConcurrent(t *testing.T) {
 	wg.Wait()
 	if r.Len() != 800 {
 		t.Fatalf("got %d spans, want 800", r.Len())
-	}
-}
-
-// Clock-skew normalization: worker clocks offset by whole seconds in either
-// direction must still assemble into non-negative, correctly nested spans.
-func TestImportClockSkewNormalization(t *testing.T) {
-	for _, offset := range []int64{0, 3e9, -3e9, -10e9} {
-		coord := NewRecorder("coordinator")
-		// A worker-local trace: a parent "execute" span containing a
-		// nested "simulate" span, timestamps on the worker's own clock.
-		worker := []Span{
-			{TraceID: "j1", Name: "execute", Worker: "w1", StartNS: 1e9, DurNS: 5e9},
-			{TraceID: "j1", Name: "simulate", Worker: "w1", StartNS: 2e9, DurNS: 3e9},
-		}
-		coord.Import(worker, offset)
-		ss := coord.Spans()
-		if len(ss) != 2 {
-			t.Fatalf("offset %d: got %d spans, want 2", offset, len(ss))
-		}
-		var parent, child Span
-		for _, s := range ss {
-			switch s.Name {
-			case "execute":
-				parent = s
-			case "simulate":
-				child = s
-			}
-		}
-		for _, s := range ss {
-			if s.StartNS < 0 {
-				t.Fatalf("offset %d: span %q starts before epoch: %d", offset, s.Name, s.StartNS)
-			}
-		}
-		// Nesting must survive re-basing: child inside parent.
-		if child.StartNS < parent.StartNS || child.End() > parent.End() {
-			t.Fatalf("offset %d: nesting broken: parent [%d,%d] child [%d,%d]",
-				offset, parent.StartNS, parent.End(), child.StartNS, child.End())
-		}
-		// Relative structure is preserved exactly (uniform shift).
-		if child.StartNS-parent.StartNS != 1e9 {
-			t.Fatalf("offset %d: relative offsets distorted: %d", offset, child.StartNS-parent.StartNS)
-		}
-	}
-}
-
-func TestImportFillsWorker(t *testing.T) {
-	r := NewRecorder("coordinator")
-	r.Import([]Span{{TraceID: "t", Name: "x", StartNS: 5}}, 0)
-	if got := r.Spans()[0].Worker; got != "coordinator" {
-		t.Fatalf("Worker = %q, want coordinator", got)
 	}
 }
 

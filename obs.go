@@ -26,8 +26,8 @@ type (
 	// NewObservabilityServer, attach as a CampaignObserver, then either
 	// Start(addr) a real listener or mount Handler() yourself.
 	ObservabilityServer = obs.Server
-	// MetricGauge is one externally sourced /metrics gauge sample; register
-	// gauge sources with ObservabilityServer.AddGaugeSource.
+	// MetricGauge is one externally sourced, unlabelled /metrics gauge;
+	// register gauge sources with ObservabilityServer.AddGaugeSource.
 	MetricGauge = obs.Gauge
 )
 

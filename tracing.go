@@ -6,19 +6,20 @@ import (
 	"morrigan/internal/spans"
 )
 
-// Distributed job tracing (see internal/spans): a campaign-wide recorder of
-// per-job lifecycle spans — lease wait, corpus fetch, sampling phases, timed
+// Job tracing (see internal/spans): a per-process recorder of per-job
+// lifecycle spans — lease wait, corpus fetch, sampling phases, timed
 // simulation, submit — keyed by canonical job key, exportable as JSONL or
 // Chrome trace-event JSON (loadable in Perfetto / chrome://tracing). Tracing
 // is purely observational: attach a recorder to CampaignOptions.Spans (and,
-// for distributed campaigns, FabricCoordinatorOptions.Spans and
-// FabricWorkerOptions.Spans) and results stay bit-identical to an untraced
-// run; a nil recorder costs one nil check per phase.
+// for distributed campaigns, FabricCoordinatorOptions.Spans for the
+// coordinator's lease spans and FabricWorkerOptions.Spans for each worker's
+// job spans) and results stay bit-identical to an untraced run; a nil
+// recorder costs one nil check per phase.
 type (
-	// TraceRecorder accumulates spans on one monotonic clock. Safe for
-	// concurrent use; share one recorder across the campaign runner, an
-	// observability server, and a fabric coordinator to assemble a single
-	// campaign trace.
+	// TraceRecorder accumulates one process's spans on one monotonic clock.
+	// Safe for concurrent use; share one recorder between the campaign
+	// runner and a fabric coordinator to trace the coordinator's process in
+	// one file. A fabric worker records into a recorder of its own.
 	TraceRecorder = spans.Recorder
 	// TraceSpan is one recorded lifecycle phase.
 	TraceSpan = spans.Span
