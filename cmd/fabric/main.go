@@ -20,8 +20,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"morrigan"
@@ -33,7 +35,10 @@ func main() {
 	}
 	switch os.Args[1] {
 	case "work":
-		work(os.Args[2:])
+		if err := work(os.Args[2:], os.Stderr); err != nil {
+			fmt.Fprintln(os.Stderr, message(err))
+			os.Exit(1)
+		}
 	case "gc":
 		gc(os.Args[2:])
 	default:
@@ -50,9 +55,11 @@ run 'fabric work -h' or 'fabric gc -h' for flags`)
 	os.Exit(2)
 }
 
-// work runs one worker until interrupted or until the coordinator goes away.
-func work(args []string) {
+// work runs one worker until interrupted or until the coordinator goes
+// away, logging to stderr, and returns what stopped it early.
+func work(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("fabric work", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
 		coordinator = fs.String("coordinator", "", "coordinator base URL (e.g. http://127.0.0.1:9090); required")
 		name        = fs.String("name", "", "worker name in coordinator logs (default host:pid)")
@@ -62,7 +69,7 @@ func work(args []string) {
 	)
 	fs.Parse(args)
 	if *coordinator == "" {
-		fmt.Fprintln(os.Stderr, "fabric work: -coordinator is required")
+		fmt.Fprintln(stderr, "fabric work: -coordinator is required")
 		os.Exit(2)
 	}
 
@@ -75,12 +82,12 @@ func work(args []string) {
 		wopt.Name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
 	if !*quiet {
-		wopt.Log = os.Stderr
+		wopt.Log = stderr
 	}
 	if *corpus != "" {
 		cs, err := morrigan.OpenCorpusStore(morrigan.CorpusOptions{Dir: *corpus})
 		if err != nil {
-			fatal("%v", err)
+			return err
 		}
 		defer cs.Close()
 		wopt.Corpus = cs
@@ -92,13 +99,20 @@ func work(args []string) {
 	}
 	worker, err := morrigan.NewFabricWorker(wopt)
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
 	if err := worker.Run(ctx); err != nil {
-		fatal("%v", err)
+		return err
 	}
 	writeTrace(*traceOut, tracer)
-	fmt.Fprintf(os.Stderr, "fabric: %s exiting after %d jobs\n", wopt.Name, worker.JobsRun())
+	fmt.Fprintf(stderr, "fabric: %s exiting after %d jobs\n", wopt.Name, worker.JobsRun())
+	return nil
+}
+
+// message is err's text with exactly one "fabric: " prefix: the errors of
+// the fabric package carry it already.
+func message(err error) string {
+	return "fabric: " + strings.TrimPrefix(err.Error(), "fabric: ")
 }
 
 // gc compacts a result store: records whose stats were written by an older

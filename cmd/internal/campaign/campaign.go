@@ -60,7 +60,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Telemetry, "telemetry", "", "write per-simulation telemetry JSONL files into this directory")
 	fs.StringVar(&f.Serve, "serve", "", "serve live observability HTTP on this address (e.g. :8080): /metrics, /campaign, /events, /healthz, /debug/pprof")
 	fs.StringVar(&f.Corpus, "corpus", "", "feed workloads from materialised trace corpora in this directory (built on first use)")
-	fs.Int64Var(&f.CorpusCacheMB, "corpus-cache-mb", 0, "memory budget in MiB of the decoded-chunk cache all jobs share: what the cache costs once full (0 = default 512)")
+	fs.Int64Var(&f.CorpusCacheMB, "corpus-cache-mb", 0, "memory budget in MiB of the decoded-chunk cache all jobs share: the most it holds; a corpus larger than it keeps only the chunks between its readers (0 = default 512)")
 	fs.StringVar(&f.Journal, "journal", "", "checkpoint completed simulations to this journal file")
 	fs.BoolVar(&f.Resume, "resume", false, "serve already-journaled results from -journal instead of re-simulating")
 	fs.StringVar(&f.Results, "results", "", "durable result store directory: reuse stored results across runs and persist new ones")

@@ -70,18 +70,26 @@ func (l *limitReader) NextBatch(dst []Record) (int, error) {
 // the records read before it.
 func Slice(r Reader, n int) ([]Record, error) {
 	out := make([]Record, n)
+	got, err := ReadFull(r, out)
+	return out[:got], err
+}
+
+// ReadFull reads records from r into dst until dst is full or r ends, and
+// returns how many it read. It stops early at io.EOF, which it does not
+// report; on any other error it returns the count read before it.
+func ReadFull(r Reader, dst []Record) (int, error) {
 	got := 0
-	for got < n {
-		k, err := r.NextBatch(out[got:])
+	for got < len(dst) {
+		k, err := r.NextBatch(dst[got:])
 		if k == 0 {
 			if err == io.EOF {
 				err = nil
 			}
-			return out[:got], err
+			return got, err
 		}
 		got += k
 	}
-	return out, nil
+	return got, nil
 }
 
 // SliceReader replays a fixed record slice, for tests.

@@ -46,26 +46,38 @@ func Build(w io.Writer, src trace.Reader, records uint64, opt BuildOptions) (Bui
 		return BuildInfo{}, err
 	}
 
-	// Producer: step the source into fixed-size chunks. The one-slot channel
-	// holds at most three chunks in memory: one generating, one queued and
-	// one encoding.
+	// Producer: step the source into fixed-size chunks. Three chunk buffers
+	// circulate between it and the encoder, made as first needed: one
+	// generating, one queued in the one-slot channel and one encoding. The
+	// encoder hands each back through free once its frame is written, and
+	// reuses one frame buffer, so a build allocates nothing chunk-sized
+	// after its first three chunks.
+	const buffers = 3
 	chunks := make(chan []trace.Record, 1)
+	free := make(chan []trace.Record, buffers)
+	for range buffers {
+		free <- nil
+	}
 	prodErr := make(chan error, 1)
 	go func() {
 		defer close(chunks)
 		var emitted uint64
 		for emitted < records {
 			n := int(min(uint64(chunkRecords), records-emitted))
-			recs, err := trace.Slice(src, n)
-			if len(recs) > 0 {
-				chunks <- recs
-				emitted += uint64(len(recs))
+			buf := <-free
+			if cap(buf) < n {
+				buf = make([]trace.Record, n)
+			}
+			got, err := trace.ReadFull(src, buf[:n])
+			if got > 0 {
+				chunks <- buf[:got]
+				emitted += uint64(got)
 			}
 			if err != nil {
 				prodErr <- err
 				return
 			}
-			if len(recs) < n {
+			if got < n {
 				break // source ended early
 			}
 		}
@@ -73,14 +85,16 @@ func Build(w io.Writer, src trace.Reader, records uint64, opt BuildOptions) (Bui
 	}()
 
 	var info BuildInfo
+	var frame []byte
 	for recs := range chunks {
-		if err != nil {
-			continue // drain after a write error
+		if err == nil { // after a write error, only drain
+			var crc uint32
+			frame, crc = encodeChunkInto(frame, recs)
+			if err = cw.writeFrame(frame, len(recs), crc); err == nil {
+				info.Bytes += int64(len(frame))
+			}
 		}
-		frame, crc := encodeChunk(recs)
-		if err = cw.writeFrame(frame, len(recs), crc); err == nil {
-			info.Bytes += int64(len(frame))
-		}
+		free <- recs
 	}
 	if perr := <-prodErr; err == nil {
 		err = perr

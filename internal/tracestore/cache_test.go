@@ -225,10 +225,11 @@ func TestCacheDecodeError(t *testing.T) {
 
 // TestFullCacheDecodeAllocations streams a store's corpus of default-size
 // chunks, four times the cache budget, twice through one reader. The first
-// pass fills the cache; in the second every chunk misses, and each decode
-// must reuse an evicted entry's record buffer and a kept frame buffer: the
-// bytes allocated per decode stay under 1/64 of a decoded chunk, where a
-// fresh buffer per decode costs the whole chunk plus its frame.
+// pass makes the cache's buffers; in the second every chunk misses, and
+// each decode must reuse a dropped entry's record buffer and a kept frame
+// buffer: the bytes allocated per decode stay under 1/64 of a decoded
+// chunk, where a fresh buffer per decode costs the whole chunk plus its
+// frame.
 func TestFullCacheDecodeAllocations(t *testing.T) {
 	const chunks = 32
 	budget := 8 * chunkBytes(DefaultChunkRecords)

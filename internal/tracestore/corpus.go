@@ -25,9 +25,9 @@ type Corpus struct {
 	chunks       []chunkInfo
 	maxFrame     uint64 // the longest frame, the size frame buffers are made at
 
-	// cache, when non-nil, interposes the shared decoded-chunk LRU between
-	// readers and decodeChunk (set by Store; standalone opens decode
-	// privately).
+	// cache, when non-nil, interposes the shared decoded-chunk cache
+	// between readers and decodeChunk, and registers every reader of the
+	// corpus with it (set by Store; standalone opens decode privately).
 	cache *Cache
 }
 

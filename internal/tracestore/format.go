@@ -127,11 +127,20 @@ type ChunkInfo struct {
 	CRC32C uint32
 }
 
-// encodeChunk serialises records with the per-chunk delta encoding and
-// returns the frame and its CRC-32C.
+// encodeChunk serialises records with the per-chunk delta encoding into a
+// fresh frame and returns the frame and its CRC-32C.
 func encodeChunk(recs []trace.Record) (frame []byte, crc uint32) {
+	return encodeChunkInto(nil, recs)
+}
+
+// encodeChunkInto is encodeChunk writing the frame into buf's backing
+// array, which is replaced only when it is too small.
+func encodeChunkInto(buf []byte, recs []trace.Record) (frame []byte, crc uint32) {
 	// Most records take 3–5 bytes; append grows the rare denser chunk.
-	frame = make([]byte, 0, 5*len(recs))
+	frame = buf[:0]
+	if cap(frame) < 5*len(recs) {
+		frame = make([]byte, 0, 5*len(recs))
+	}
 	var lastPC arch.VAddr
 	for i := range recs {
 		r := &recs[i]
@@ -170,27 +179,33 @@ func decodeChunk(frame []byte, want uint64, dst []trace.Record) ([]trace.Record,
 		if kind > recKindMax {
 			return dst, corrupt("chunk record kind %#x", kind)
 		}
-		du, k := binary.Uvarint(frame[p:])
-		if k <= 0 {
-			return dst, corrupt("chunk pc delta at record %d", n)
+		var du uint64
+		if p < len(frame) && frame[p] < 0x80 { // most PC deltas take one byte
+			du = uint64(frame[p])
+			p++
+		} else {
+			var q int
+			if du, q = uvarint(frame, p); q <= p {
+				return dst, corrupt("chunk pc delta at record %d", n)
+			}
+			p = q
 		}
-		p += k
 		lastPC = arch.VAddr(int64(lastPC) + unzigzag(du))
 		rec := trace.Record{PC: lastPC}
 		if kind&recHasLoad != 0 {
-			v, k := binary.Uvarint(frame[p:])
-			if k <= 0 {
+			v, q := uvarint(frame, p)
+			if q <= p {
 				return dst, corrupt("chunk load address at record %d", n)
 			}
-			p += k
+			p = q
 			rec.Load = arch.VAddr(v)
 		}
 		if kind&recHasStore != 0 {
-			v, k := binary.Uvarint(frame[p:])
-			if k <= 0 {
+			v, q := uvarint(frame, p)
+			if q <= p {
 				return dst, corrupt("chunk store address at record %d", n)
 			}
-			p += k
+			p = q
 			rec.Store = arch.VAddr(v)
 		}
 		dst = append(dst, rec)
@@ -199,6 +214,40 @@ func decodeChunk(frame []byte, want uint64, dst []trace.Record) ([]trace.Record,
 		return dst, corrupt("chunk has %d trailing bytes after %d records", len(frame)-p, want)
 	}
 	return dst, nil
+}
+
+// uvarint decodes the varint at frame[p:] as binary.Uvarint does and
+// returns it with the position after it, or with a position of at most p
+// when the varint is truncated or overflows. Data addresses take five or
+// six bytes, so the one- to six-byte forms are decoded from a
+// bounds-checked window of binary.MaxVarintLen64 bytes; longer forms, and
+// varints that start within that many bytes of the frame's end, go to
+// binary.Uvarint.
+func uvarint(frame []byte, p int) (uint64, int) {
+	if len(frame)-p >= binary.MaxVarintLen64 {
+		b := frame[p : p+binary.MaxVarintLen64]
+		v := uint64(b[0] & 0x7f)
+		if b[0] < 0x80 {
+			return v, p + 1
+		}
+		if v |= uint64(b[1]&0x7f) << 7; b[1] < 0x80 {
+			return v, p + 2
+		}
+		if v |= uint64(b[2]&0x7f) << 14; b[2] < 0x80 {
+			return v, p + 3
+		}
+		if v |= uint64(b[3]&0x7f) << 21; b[3] < 0x80 {
+			return v, p + 4
+		}
+		if v |= uint64(b[4]&0x7f) << 28; b[4] < 0x80 {
+			return v, p + 5
+		}
+		if v |= uint64(b[5]&0x7f) << 35; b[5] < 0x80 {
+			return v, p + 6
+		}
+	}
+	v, k := binary.Uvarint(frame[p:])
+	return v, p + k
 }
 
 // containerWriter appends frames to a container and finishes it with the

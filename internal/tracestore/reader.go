@@ -22,9 +22,13 @@ const DefaultReadAhead = 3
 // simulation thread owns its own — but any number of Readers may stream the
 // same Corpus concurrently, sharing decoded chunks through the store cache.
 //
-// A Reader that will not be drained to io.EOF should be Closed to unpin its
-// in-flight chunks from the shared cache; the campaign runner closes the
-// readers of every finished job.
+// A Reader of a store's corpus is registered with the shared cache from
+// NewReader until Close or io.EOF, and the cache keeps the released chunks
+// of a corpus larger than its budget only while a registered reader still
+// has them ahead. A Reader that will not be drained to io.EOF should
+// therefore be Closed, to unpin its in-flight chunks and let go of the
+// chunks kept for it; the campaign runner closes the readers of every
+// finished job.
 //
 // A Reader of a corpus without a cache decodes into buffers of its own:
 // it holds at most DefaultReadAhead+1 chunks at once, the one being
@@ -39,9 +43,13 @@ type Reader struct {
 	relCur func()
 
 	pending []chan fetched // FIFO of in-flight chunk acquisitions
-	issued  int            // next chunk index to schedule
-	err     error          // sticky decode error
-	closed  bool
+	// issued is the next chunk index to schedule. For a reader of a cached
+	// corpus it is written under the cache's mutex, which reads it to tell
+	// which released chunks the reader still has ahead.
+	issued int
+	err    error // sticky decode error
+	closed bool
+	joined bool // registered with the corpus's cache
 
 	// free holds the released buffer pairs of a reader without a cache.
 	// A pair is made only when free is empty, that is when every pair is
@@ -72,32 +80,43 @@ func (c *Corpus) NewReader() *Reader {
 	r := &Reader{c: c}
 	if c.cache == nil {
 		r.free = make(chan decodeBufs, DefaultReadAhead+1)
+	} else {
+		c.cache.join(r)
+		r.joined = true
 	}
 	r.fill()
 	return r
 }
 
-// fill tops the pipeline up to the decode-ahead depth.
+// fill tops the pipeline up to the decode-ahead depth. A chunk of a cached
+// corpus is pinned here, on the consuming goroutine, as it is scheduled;
+// only its decode, or the wait for another reader's, runs on the worker
+// goroutine.
 func (r *Reader) fill() {
 	for r.issued < len(r.c.chunks) && len(r.pending) < DefaultReadAhead {
-		i := r.issued
-		r.issued++
 		ch := make(chan fetched, 1)
-		go func() {
-			recs, release, err := r.acquire(i)
-			ch <- fetched{recs: recs, release: release, err: err}
-		}()
+		if cache := r.c.cache; cache != nil {
+			e, frame, miss := cache.schedule(r)
+			go func() {
+				recs, release, err := cache.await(r.c, e, frame, miss)
+				ch <- fetched{recs: recs, release: release, err: err}
+			}()
+		} else {
+			i := r.issued
+			r.issued++
+			go func() {
+				recs, release, err := r.decodeOwn(i)
+				ch <- fetched{recs: recs, release: release, err: err}
+			}()
+		}
 		r.pending = append(r.pending, ch)
 	}
 }
 
-// acquire returns chunk i's decoded records and a release function, going
-// through the shared cache when the corpus has one and decoding into a
-// released pair of the reader's own buffers when it has not.
-func (r *Reader) acquire(i int) ([]trace.Record, func(), error) {
-	if r.c.cache != nil {
-		return r.c.cache.acquire(r.c, i)
-	}
+// decodeOwn decodes chunk i of a corpus without a cache into a released
+// pair of the reader's own buffers and returns a release function that
+// hands the pair back.
+func (r *Reader) decodeOwn(i int) ([]trace.Record, func(), error) {
 	var b decodeBufs
 	select {
 	case b = <-r.free:
@@ -120,6 +139,7 @@ func (r *Reader) advance() error {
 	}
 	r.cur, r.pos = nil, 0
 	if len(r.pending) == 0 {
+		r.leave()
 		return io.EOF
 	}
 	f := <-r.pending[0]
@@ -155,7 +175,9 @@ func (r *Reader) NextBatch(dst []trace.Record) (int, error) {
 }
 
 // Close releases the current chunk and drains the pipeline, unpinning every
-// in-flight chunk from the shared cache. Further reads return io.EOF.
+// in-flight chunk from the shared cache, and deregisters the reader, so
+// the cache drops the chunks it kept only for it. Further reads return
+// io.EOF.
 func (r *Reader) Close() error {
 	if r.closed {
 		return nil
@@ -173,5 +195,14 @@ func (r *Reader) Close() error {
 		}
 	}
 	r.pending = nil
+	r.leave()
 	return nil
+}
+
+// leave deregisters the reader from its corpus's cache, once.
+func (r *Reader) leave() {
+	if r.joined {
+		r.joined = false
+		r.c.cache.leave(r)
+	}
 }

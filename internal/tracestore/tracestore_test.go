@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -155,6 +157,46 @@ func TestZigZag(t *testing.T) {
 	}
 }
 
+// TestUvarintMatchesBinary checks the decoder's varint against
+// binary.Uvarint, value, length and rejection alike: on every form from one
+// to ten bytes, overlong, overflowing and truncated ones included, ending
+// at every distance from the frame's end, and on random bytes.
+func TestUvarintMatchesBinary(t *testing.T) {
+	check := func(frame []byte, p int) {
+		t.Helper()
+		wantV, wantK := binary.Uvarint(frame[p:])
+		v, q := uvarint(frame, p)
+		if ok := q > p; ok != (wantK > 0) || ok && (v != wantV || q-p != wantK) {
+			t.Errorf("uvarint(% x, %d) = %d, %d; binary.Uvarint gives %d, %d bytes", frame, p, v, q, wantV, wantK)
+		}
+	}
+	forms := [][]byte{
+		{0x80, 0x00},                   // overlong zero
+		{0x80},                         // truncated
+		{0xff, 0xff, 0xff, 0xff, 0xff}, // truncated after five bytes
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},       // overflows 64 bits
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // eleven bytes
+	}
+	for _, v := range []uint64{0, 1, 0x7f, 0x80, 1<<14 - 1, 1 << 14, 1 << 21, 1 << 28, 1<<35 - 1, 1 << 35, 1<<42 - 1, 1 << 42, 1 << 49, 1 << 56, 1 << 63, math.MaxUint64} {
+		forms = append(forms, binary.AppendUvarint(nil, v))
+	}
+	for _, f := range forms {
+		for pad := 0; pad <= binary.MaxVarintLen64+1; pad++ {
+			// A leading byte makes the varint start past the frame's start.
+			frame := append(append([]byte{0}, f...), make([]byte, pad)...)
+			check(frame, 1)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		frame := make([]byte, 1+rng.Intn(16))
+		for k := range frame {
+			frame[k] = byte(rng.Intn(256)) | byte(rng.Intn(2))<<7
+		}
+		check(frame, rng.Intn(len(frame)))
+	}
+}
+
 // TestBuildEarlyEOF checks that a source shorter than the requested record
 // count yields a correspondingly shorter (still valid) container.
 func TestBuildEarlyEOF(t *testing.T) {
@@ -190,6 +232,35 @@ func TestBuildEmpty(t *testing.T) {
 	defer r.Close()
 	if n, err := r.NextBatch(make([]trace.Record, 8)); n != 0 || err != io.EOF {
 		t.Fatalf("NextBatch on empty corpus = %d, %v, want 0, io.EOF", n, err)
+	}
+}
+
+// TestBuildAllocations builds a container of 32 default-size chunks from
+// a generator into io.Discard. Build circulates three chunk buffers and
+// reuses one frame buffer, so beyond those the bytes it allocates per
+// chunk stay under 1/64 of a decoded chunk, where a fresh chunk and frame
+// per chunk cost about 1.8 MB.
+func TestBuildAllocations(t *testing.T) {
+	const chunks = 32
+	src := testSpec(709).NewReader() // the generator's tables are not Build's
+	// Three chunk buffers and a frame buffer of five bytes a record,
+	// rounded up to the heap's 8 KiB pages.
+	fixed := uint64(3*chunkBytes(DefaultChunkRecords)) + 5*DefaultChunkRecords + 4*8<<10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	info, err := Build(io.Discard, src, chunks*DefaultChunkRecords, BuildOptions{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	if info.Chunks != chunks {
+		t.Fatalf("Build wrote %d chunks, want %d", info.Chunks, chunks)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	perChunk := (got - min(got, fixed)) / chunks
+	t.Logf("Build allocated %d bytes, %d per chunk beyond the %d-byte buffers", got, perChunk, fixed)
+	if limit := uint64(chunkBytes(DefaultChunkRecords)) / 64; perChunk >= limit {
+		t.Errorf("Build allocated %d bytes per chunk beyond its buffers, want under %d (1/64 of a decoded chunk)", perChunk, limit)
 	}
 }
 
